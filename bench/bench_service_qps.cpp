@@ -249,9 +249,12 @@ int main() {
     std::fprintf(stderr, "cannot write BENCH_service.json\n");
     return 1;
   }
+  // num_cpus is the machine's, as compare_bench.py's scaling gate reads
+  // it; the lane count the server ran with goes under its own key.
   std::fprintf(out,
-               "{\n \"context\": {\"num_cpus\": %u},\n \"benchmarks\": [\n",
-               bench::Threads());
+               "{\n \"context\": {\"num_cpus\": %u, \"threads\": %u},\n"
+               " \"benchmarks\": [\n",
+               std::thread::hardware_concurrency(), bench::Threads());
   std::fprintf(out,
                "  {\"name\": \"SVC_MixedQps\", \"run_type\": \"iteration\", "
                "\"iterations\": %llu, \"real_time\": %.1f, \"cpu_time\": "

@@ -19,12 +19,15 @@
 // EdgeList order, so a metric vector computed by edge peeling
 // (TrussNumbers) indexes an EdgeScalarField with no permutation.
 //
-// Construction resolves the undirected-twin mapping once: one forward
-// pass mints ids on the u < v slots, and each reverse slot finds its twin
-// with a binary search in the already-minted run. After that every
-// adjacency slot answers "which edge am I?" in O(1), which is what lets
-// the naive dual-graph construction and the per-slot sweeps stay free of
-// hashing.
+// Construction resolves the undirected-twin mapping in one linear pass.
+// Visiting u ascending, each u < v slot mints the next id and writes it
+// to the twin slot too, through a per-vertex fill cursor into v's run:
+// v's smaller neighbors sit at the front of its sorted run and arrive
+// in that same ascending order, so the cursor lands on exactly the twin
+// with no search. After that every adjacency slot answers "which edge am
+// I?" in O(1), which is what lets the K-Truss peel, the naive dual-graph
+// construction and the per-slot sweeps stay free of hashing and binary
+// searches.
 
 #ifndef GRAPHSCAPE_GRAPH_EDGE_INDEX_H_
 #define GRAPHSCAPE_GRAPH_EDGE_INDEX_H_
@@ -44,19 +47,16 @@ class EdgeIndex {
     const std::vector<uint32_t>& offsets = g.Offsets();
     const std::vector<VertexId>& adj = g.Adjacency();
     slot_eid_.resize(adj.size());
+    // fill[v]: v's next unwritten slot among its smaller neighbors.
+    std::vector<uint32_t> fill(offsets.begin(), offsets.begin() + n);
     uint32_t next = 0;
     for (VertexId u = 0; u < n; ++u) {
       for (uint32_t s = offsets[u]; s < offsets[u + 1]; ++s) {
         const VertexId v = adj[s];
         if (u < v) {
           slot_eid_[s] = next;
+          slot_eid_[fill[v]++] = next;
           ++next;
-        } else {
-          // v < u, so v's run already minted the id; find u's slot in it.
-          const VertexId* lo = adj.data() + offsets[v];
-          const VertexId* hi = adj.data() + offsets[v + 1];
-          const VertexId* it = std::lower_bound(lo, hi, u);
-          slot_eid_[s] = slot_eid_[static_cast<uint32_t>(it - adj.data())];
         }
       }
     }

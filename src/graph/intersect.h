@@ -25,11 +25,16 @@
 //     * metrics/nucleus.cc    — per-triangle 4-clique support:
 //       CountCommonNeighbors(a, b, c).
 //
-//   callback (needs the elements, not just the tally):
+//   slot callback (needs WHERE each common element sits in both runs):
 //     * metrics/ktruss.cc  — the peel demotes both side edges of every
-//       surviving triangle: ForEachCommonNeighbor(u, v, ...);
+//       surviving triangle; the two CSR slots of w are the slots of
+//       edges {u, w} and {v, w}, so EdgeIndex::EdgeAtSlot names them
+//       with no search: ForEachCommonSlot(u, v, ...).
+//
+//   element callback (needs the elements, not just the tally):
 //     * metrics/nucleus.cc — triangle enumeration (w > v filter) and the
-//       3-way peel: ForEachCommonNeighbor(a, b, c, ...).
+//       3-way peel: ForEachCommonNeighbor(u, v, ...) (a wrapper over
+//       ForEachCommonSlot) and ForEachCommonNeighbor(a, b, c, ...).
 
 #ifndef GRAPHSCAPE_GRAPH_INTERSECT_H_
 #define GRAPHSCAPE_GRAPH_INTERSECT_H_
@@ -41,35 +46,27 @@
 
 namespace graphscape {
 
-/// Calls on_vertex(w) for every w adjacent to both u and v, ascending.
-/// Thin wrapper over the intersection layer: skewed run pairs gallop
-/// (exponential search through the longer run), balanced pairs take the
-/// scalar merge — the callback sequence is identical either way. Callers
-/// that only count should use CountCommonNeighbors instead; it reaches
-/// the vectorized count kernels.
-template <typename OnVertex>
-inline void ForEachCommonNeighbor(const Graph& g, VertexId u, VertexId v,
-                                  OnVertex&& on_vertex) {
-  const Graph::NeighborRange ru = g.Neighbors(u);
-  const Graph::NeighborRange rv = g.Neighbors(v);
-  const VertexId* a = ru.begin();
-  const VertexId* ea = ru.end();
-  const VertexId* b = rv.begin();
-  const VertexId* eb = rv.end();
-  if (ea - a > eb - b) {
-    std::swap(a, b);
-    std::swap(ea, eb);
-  }
+namespace intersect {
+namespace detail {
+
+/// Calls on_match(pa, pb) for every element common to the sorted runs
+/// [a, ea) and [b, eb), ascending, where `a` is the shorter run. Skewed
+/// pairs gallop (exponential search through the longer run), balanced
+/// pairs take the scalar merge; both fire the identical sequence.
+template <typename OnMatch>
+inline void ForEachMatch(const VertexId* a, const VertexId* ea,
+                         const VertexId* b, const VertexId* eb,
+                         OnMatch&& on_match) {
   const size_t na = static_cast<size_t>(ea - a);
   const size_t nb = static_cast<size_t>(eb - b);
   if (na == 0) return;
-  if (nb >= na * intersect::kGallopSkewRatio) {
+  if (nb >= na * kGallopSkewRatio) {
     // Hub-vs-leaf shape: walk the short run, gallop through the long one.
     for (; a != ea; ++a) {
-      b = intersect::detail::GallopSeek(b, eb, *a);
+      b = GallopSeek(b, eb, *a);
       if (b == eb) return;
       if (*b == *a) {
-        on_vertex(*a);
+        on_match(a, b);
         ++b;
       }
     }
@@ -81,11 +78,53 @@ inline void ForEachCommonNeighbor(const Graph& g, VertexId u, VertexId v,
     } else if (*b < *a) {
       ++b;
     } else {
-      on_vertex(*a);
+      on_match(a, b);
       ++a;
       ++b;
     }
   }
+}
+
+}  // namespace detail
+}  // namespace intersect
+
+/// Calls on_slots(su, sv) for every w adjacent to both u and v, ascending
+/// in w, where su and sv are w's CSR slots (indices into
+/// Graph::Adjacency()) in u's and v's runs. Those slots ARE the edges
+/// {u, w} and {v, w}, so EdgeIndex::EdgeAtSlot names both without a
+/// search. Callers that only count should use CountCommonNeighbors
+/// instead; it reaches the vectorized count kernels.
+template <typename OnSlots>
+inline void ForEachCommonSlot(const Graph& g, VertexId u, VertexId v,
+                              OnSlots&& on_slots) {
+  const VertexId* base = g.Adjacency().data();
+  const Graph::NeighborRange ru = g.Neighbors(u);
+  const Graph::NeighborRange rv = g.Neighbors(v);
+  const auto slot = [base](const VertexId* p) {
+    return static_cast<uint32_t>(p - base);
+  };
+  if (ru.size() <= rv.size()) {
+    intersect::detail::ForEachMatch(
+        ru.begin(), ru.end(), rv.begin(), rv.end(),
+        [&](const VertexId* pu, const VertexId* pv) {
+          on_slots(slot(pu), slot(pv));
+        });
+  } else {
+    intersect::detail::ForEachMatch(
+        rv.begin(), rv.end(), ru.begin(), ru.end(),
+        [&](const VertexId* pv, const VertexId* pu) {
+          on_slots(slot(pu), slot(pv));
+        });
+  }
+}
+
+/// Calls on_vertex(w) for every w adjacent to both u and v, ascending.
+template <typename OnVertex>
+inline void ForEachCommonNeighbor(const Graph& g, VertexId u, VertexId v,
+                                  OnVertex&& on_vertex) {
+  const VertexId* adj = g.Adjacency().data();
+  ForEachCommonSlot(g, u, v,
+                    [&](uint32_t su, uint32_t) { on_vertex(adj[su]); });
 }
 
 /// Calls on_vertex(d) for every d adjacent to all of a, b, and c,

@@ -73,9 +73,10 @@ std::vector<uint32_t> PeelBySupport(const Graph& g, const EdgeIndex& index,
     truss[e] = level + 2;
     peeled[e] = 1;
     const VertexId u = index.U(e), v = index.V(e);
-    ForEachCommonNeighbor(g, u, v, [&](VertexId w) {
-      const uint32_t e1 = index.EdgeId(u, w);
-      const uint32_t e2 = index.EdgeId(v, w);
+    // w's slot in u's run is edge {u, w}, its slot in v's run is {v, w}.
+    ForEachCommonSlot(g, u, v, [&](uint32_t su, uint32_t sv) {
+      const uint32_t e1 = index.EdgeAtSlot(su);
+      const uint32_t e2 = index.EdgeAtSlot(sv);
       // The triangle {u, v, w} only still supports e1/e2 if neither has
       // been peeled away already.
       if (!peeled[e1] && !peeled[e2]) {

@@ -4,11 +4,14 @@
 // K-Truss decomposition — the paper's edge scalar field for dense-subgraph
 // terrains (§III, Fig. 7).
 //
-// Support counting via sorted-run intersection, then the same bucket-peel
-// discipline as kcore.h applied to edges: peel the minimum-support edge,
-// demote the two surviving edges of each of its triangles with O(1) bucket
-// swaps. truss[e] = (support when peeled) + 2, so an edge in a k-truss but
-// no (k+1)-truss reports k.
+// Support counting via count-only sorted-run intersection, then the same
+// bucket-peel discipline as kcore.h applied to edges: peel the
+// minimum-support edge, demote the two surviving edges of each of its
+// triangles with O(1) bucket swaps. The peel walks N(u) ∩ N(v) with
+// ForEachCommonSlot, and the two CSR slots of each common neighbor w are
+// the edges {u, w} and {v, w}, so EdgeIndex::EdgeAtSlot names them with
+// no search. truss[e] = (support when peeled) + 2, so an edge in a
+// k-truss but no (k+1)-truss reports k.
 
 #ifndef GRAPHSCAPE_METRICS_KTRUSS_H_
 #define GRAPHSCAPE_METRICS_KTRUSS_H_
@@ -29,9 +32,9 @@ std::vector<std::pair<VertexId, VertexId>> EdgeList(const Graph& g);
 /// truss[e] for every edge in EdgeList order; values are >= 2.
 std::vector<uint32_t> TrussNumbers(const Graph& g);
 
-/// TrussNumbers with the support-counting pass (the dominant cost — one
-/// sorted-run intersection per edge, disjoint writes) on the pool; the
-/// bucket peel itself is inherently order-serial and stays sequential.
+/// TrussNumbers with the support-counting pass (one sorted-run
+/// intersection per edge, disjoint writes) on the pool; the bucket peel
+/// itself is inherently order-serial and stays sequential.
 /// EQUAL output to TrussNumbers for every thread count.
 std::vector<uint32_t> TrussNumbersParallel(const Graph& g,
                                            const ParallelOptions& options = {});

@@ -103,22 +103,21 @@ Status ServiceServer::Start() {
   for (uint32_t i = 0; i < num_threads_; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  accept_thread_ = std::thread([this, fd = listen_fd_] { AcceptLoop(fd); });
   return Status::Ok();
 }
 
 void ServiceServer::Stop() {
   if (!running_.exchange(false)) return;
-  // Closing the listener unblocks accept(); the worker wake-up drains
-  // the queue. Order matters: no new fds can arrive once the listener
-  // is gone, so the drain below is complete.
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  queue_cv_.notify_all();
+  // shutdown() unblocks accept(); the fd is closed only after the accept
+  // thread has exited, so its number cannot be reused under a running
+  // accept(). Order matters: no new fds can arrive once the accept thread
+  // is gone, so the worker drain below is complete.
+  ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
+  ::close(listen_fd_);
+  listen_fd_ = -1;
+  queue_cv_.notify_all();
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
@@ -128,12 +127,12 @@ void ServiceServer::Stop() {
   pending_fds_.clear();
 }
 
-void ServiceServer::AcceptLoop() {
+void ServiceServer::AcceptLoop(int listen_fd) {
   while (running_.load()) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      // EBADF/EINVAL after Stop() closed the listener: clean exit.
+      // EINVAL after Stop() shut the listener down: clean exit.
       return;
     }
     SetIoTimeout(fd, options_.io_timeout_seconds);

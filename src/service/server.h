@@ -81,7 +81,9 @@ class ServiceServer {
   uint32_t num_threads() const { return num_threads_; }
 
  private:
-  void AcceptLoop();
+  /// Runs on accept_thread_. Takes the listener by value: Stop() owns
+  /// listen_fd_ and closes it only after this loop has returned.
+  void AcceptLoop(int listen_fd);
   void WorkerLoop();
   void ServeConnection(int fd);
 

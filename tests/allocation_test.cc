@@ -21,6 +21,7 @@
 #include "graph/intersect.h"
 #include "graph/intersect_simd.h"
 #include "layout/spring_layout.h"
+#include "metrics/ktruss.h"
 #include "metrics/triangles.h"
 #include "scalar/edge_scalar_tree.h"
 #include "scalar/scalar_tree.h"
@@ -241,6 +242,29 @@ TEST(AllocationDisciplineTest, TriangleCountAllocationsConstantInGraphSize) {
   EXPECT_EQ(small, large)
       << "allocation count scales with graph size - something allocates "
          "inside the triangle sweep";
+  EXPECT_LE(large, 12u);
+}
+
+uint64_t AllocationsDuringTrussNumbers(uint32_t n) {
+  Rng rng(42);
+  const Graph g = BarabasiAlbert(n, 4, &rng);
+  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const std::vector<uint32_t> truss = TrussNumbers(g);
+  const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(truss.size(), g.NumEdges());
+  return after - before;
+}
+
+TEST(AllocationDisciplineTest, TrussNumbersAllocationsConstantInGraphSize) {
+  // TrussNumbers allocates a fixed set of arrays up front (the EdgeIndex
+  // slot ids and its fill cursor, support, the bucket peeler's arrays,
+  // the peeled flags, the output) and nothing per edge or per triangle:
+  // the peel resolves side edges from CSR slots with no scratch.
+  const uint64_t small = AllocationsDuringTrussNumbers(1 << 8);
+  const uint64_t large = AllocationsDuringTrussNumbers(1 << 14);
+  EXPECT_EQ(small, large)
+      << "allocation count scales with graph size - something allocates "
+         "inside the support count or the peel";
   EXPECT_LE(large, 12u);
 }
 

@@ -114,17 +114,27 @@ void ExpectMatchesOracle(const Graph& g, const EdgeScalarField& field) {
   }
 }
 
-TEST(EdgeIndexTest, TwinMappingMatchesEdgeList) {
-  Rng rng(3);
-  const Graph g = ErdosRenyi(60, 0.1, &rng);
+// CSR slot of b in a's adjacency run.
+uint32_t SlotOf(const Graph& g, VertexId a, VertexId b) {
+  const Graph::NeighborRange run = g.Neighbors(a);
+  const VertexId* it = std::lower_bound(run.begin(), run.end(), b);
+  return g.Offsets()[a] + static_cast<uint32_t>(it - run.begin());
+}
+
+// Checks both EdgeIndex invariants on g: ids agree with EdgeList order,
+// and both CSR slots of every edge carry that edge's id.
+void ExpectTwinMappingMatchesEdgeList(const Graph& g) {
   const EdgeIndex index(g);
   const auto edges = EdgeList(g);
   ASSERT_EQ(index.NumEdges(), edges.size());
   for (uint32_t e = 0; e < edges.size(); ++e) {
-    EXPECT_EQ(index.U(e), edges[e].first);
-    EXPECT_EQ(index.V(e), edges[e].second);
-    EXPECT_EQ(index.EdgeId(edges[e].first, edges[e].second), e);
-    EXPECT_EQ(index.EdgeId(edges[e].second, edges[e].first), e);
+    const auto [u, v] = edges[e];
+    EXPECT_EQ(index.U(e), u);
+    EXPECT_EQ(index.V(e), v);
+    EXPECT_EQ(index.EdgeId(u, v), e);
+    EXPECT_EQ(index.EdgeId(v, u), e);
+    EXPECT_EQ(index.EdgeAtSlot(SlotOf(g, u, v)), e) << "slot in u's run";
+    EXPECT_EQ(index.EdgeAtSlot(SlotOf(g, v, u)), e) << "slot in v's run";
   }
   // Every CSR slot maps to the id of the edge it belongs to.
   const std::vector<uint32_t>& offsets = g.Offsets();
@@ -132,9 +142,45 @@ TEST(EdgeIndexTest, TwinMappingMatchesEdgeList) {
   for (VertexId u = 0; u < g.NumVertices(); ++u) {
     for (uint32_t s = offsets[u]; s < offsets[u + 1]; ++s) {
       const uint32_t e = index.EdgeAtSlot(s);
+      ASSERT_LT(e, edges.size());
       EXPECT_EQ(std::min(u, adj[s]), index.U(e));
       EXPECT_EQ(std::max(u, adj[s]), index.V(e));
     }
+  }
+}
+
+TEST(EdgeIndexTest, TwinMappingMatchesEdgeList) {
+  Rng rng(3);
+  ExpectTwinMappingMatchesEdgeList(ErdosRenyi(60, 0.1, &rng));
+}
+
+TEST(EdgeIndexTest, TwinMappingOnDegenerateAndSkewedShapes) {
+  {
+    SCOPED_TRACE("empty graph");
+    ExpectTwinMappingMatchesEdgeList(Graph());
+  }
+  {
+    SCOPED_TRACE("isolated vertices around one edge");
+    GraphBuilder builder(9);
+    builder.AddEdge(3, 6);
+    ExpectTwinMappingMatchesEdgeList(builder.Build());
+  }
+  {
+    // The hub's own run is all u < v slots; every leaf's single slot is
+    // a reverse twin filled through the hub's cursor. Hub in the middle
+    // of the id range, so it has both smaller and larger neighbors.
+    SCOPED_TRACE("star hub");
+    GraphBuilder builder(101);
+    for (VertexId v = 0; v <= 100; ++v) builder.AddEdge(50, v);
+    ExpectTwinMappingMatchesEdgeList(builder.Build());
+  }
+  {
+    SCOPED_TRACE("clique");
+    GraphBuilder builder(12);
+    for (VertexId u = 0; u < 12; ++u) {
+      for (VertexId v = u + 1; v < 12; ++v) builder.AddEdge(u, v);
+    }
+    ExpectTwinMappingMatchesEdgeList(builder.Build());
   }
 }
 

@@ -266,6 +266,41 @@ TEST(IntersectGraphApiTest, CallbackWrapperMatchesCountOnEveryPair) {
   }
 }
 
+TEST(IntersectGraphApiTest, SlotCallbackNamesTheCommonNeighborInBothRuns) {
+  // Hub 0 over 200 leaves plus BA-style clustering among the first 40:
+  // hub pairs are past kGallopSkewRatio, the rest merge. Both argument
+  // orders, so the shorter run is sometimes u's and sometimes v's.
+  GraphBuilder builder(201);
+  for (VertexId v = 1; v <= 200; ++v) builder.AddEdge(0, v);
+  Rng rng(9);
+  for (uint32_t i = 0; i < 300; ++i) {
+    builder.AddEdge(1 + static_cast<VertexId>(rng.UniformInt(40)),
+                    1 + static_cast<VertexId>(rng.UniformInt(200)));
+  }
+  const Graph g = builder.Build();
+  const std::vector<uint32_t>& offsets = g.Offsets();
+  const std::vector<VertexId>& adj = g.Adjacency();
+  for (VertexId u = 0; u < 48; ++u) {
+    for (VertexId v = 0; v < 48; ++v) {
+      if (u == v) continue;
+      std::vector<VertexId> via_slots;
+      ForEachCommonSlot(g, u, v, [&](uint32_t su, uint32_t sv) {
+        EXPECT_GE(su, offsets[u]);
+        EXPECT_LT(su, offsets[u + 1]);
+        EXPECT_GE(sv, offsets[v]);
+        EXPECT_LT(sv, offsets[v + 1]);
+        EXPECT_EQ(adj[su], adj[sv]);
+        via_slots.push_back(adj[su]);
+      });
+      const std::vector<VertexId> nu(g.Neighbors(u).begin(),
+                                     g.Neighbors(u).end());
+      const std::vector<VertexId> nv(g.Neighbors(v).begin(),
+                                     g.Neighbors(v).end());
+      EXPECT_EQ(via_slots, OracleIntersect(nu, nv)) << u << " " << v;
+    }
+  }
+}
+
 TEST(IntersectGraphApiTest, ThreeWayCallbackMatchesOracleAndCount) {
   // Star-of-cliques: vertex 0 is a hub adjacent to everyone — the 3-way
   // lagging-pointer restructure must handle the hub run staying at the
