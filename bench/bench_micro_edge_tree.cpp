@@ -4,7 +4,7 @@
 // Microbenchmarks: Algorithm 3 vs the naive dual-graph method — the paper's
 // central performance claim (§II-C, Table II's tc vs te). The hub ablation
 // shows the naive method's Θ(sum deg²) blowup on skewed graphs while
-// Algorithm 3 stays O(E log E).
+// Algorithm 3 stays near-linear in E.
 
 #include <benchmark/benchmark.h>
 
@@ -60,10 +60,11 @@ void BM_BuildEdgeScalarTree(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildEdgeScalarTree);
 
-// Parallel edge-tree build: the O(m log m) sort runs on all lanes; the
-// sweep itself stays sequential by design (the plateau chain makes
+// Parallel edge-tree entry point: it runs the sequential build for every
+// width. The sweep stays sequential by design (the plateau chain makes
 // same-component edges real writes, so they cannot be pruned chunk-
-// locally — docs/PARALLELISM.md). Expect sort-fraction speedup only.
+// locally — docs/PARALLELISM.md) and the radix sort is linear, so these
+// rows should match BM_BuildEdgeScalarTree.
 void BM_BuildEdgeScalarTreeParallel(benchmark::State& state) {
   const uint32_t threads = static_cast<uint32_t>(state.range(0));
   Rng rng(1);

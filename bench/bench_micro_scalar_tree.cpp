@@ -66,7 +66,7 @@ void BM_BuildVertexScalarTree(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildVertexScalarTree);
 
-// Chunked parallel build (docs/PARALLELISM.md): parallel sweep-order sort
+// Chunked parallel build (docs/PARALLELISM.md): sequential radix sort
 // + per-chunk pruning sweeps + sequential replay of the kept stream.
 // Output is byte-identical to the sequential row for every thread count
 // (tests/parallel_test.cc); these rows measure the speed side of that

@@ -110,8 +110,8 @@ TRACKED_TIME_BENCHMARKS = [
 # (context.num_cpus >= the thread count); on smaller machines every row
 # is informational — a 1-core container cannot show parallel speedup and
 # must not fail on it. min_speedup None = always informational (e.g. the
-# edge tree only parallelizes its sort; the raster pays per-band
-# footprint re-decode).
+# edge tree's parallel row runs the sequential build, since its sweep
+# cannot be chunked; the raster pays per-band footprint re-decode).
 SCALING_CHECKS = [
     ("BM_BuildVertexScalarTree",
      "BM_BuildVertexScalarTreeParallel/threads:4", 4, 2.5),

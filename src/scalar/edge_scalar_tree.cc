@@ -16,12 +16,16 @@ namespace graphscape {
 
 namespace {
 
-// The Algorithm 3 sweep proper, over edge endpoints in EdgeList order,
-// given a precomputed sweep order (adopted into the returned tree).
-ScalarTree SweepEdgesInOrder(uint32_t n, uint32_t m, const VertexId* eu,
-                             const VertexId* ev,
-                             const std::vector<double>& values,
-                             std::vector<uint32_t> order) {
+// The Algorithm 3 sweep over edge endpoints in EdgeList order. Only the
+// sweep order is needed: unlike the vertex sweep, nothing here reads
+// ranks, so none are built.
+ScalarTree SweepEdges(uint32_t n, uint32_t m, const VertexId* eu,
+                      const VertexId* ev,
+                      const std::vector<double>& values) {
+  // The single sort: edges by (value desc, id asc) — superlevel sweep.
+  std::vector<uint32_t> order;
+  tree_core::SortSweepOrder(values, &order, /*rank=*/nullptr);
+
   // Union-find over the ORIGINAL graph's vertices — this is what makes
   // the dual graph unnecessary. head[r] is the latest-swept edge in the
   // vertex component rooted at r, or kInvalidVertex while the component
@@ -32,7 +36,7 @@ ScalarTree SweepEdgesInOrder(uint32_t n, uint32_t m, const VertexId* eu,
   std::vector<uint32_t> head(n, kInvalidVertex);
   std::vector<VertexId> parents(m, kInvalidVertex);
 
-  // Sweep edges in rank order. Zero heap allocations in this loop.
+  // Sweep edges in sweep order. Zero heap allocations in this loop.
   uint32_t* const uf_data = uf.data();
   uint32_t* const size_data = comp_size.data();
   uint32_t* const head_data = head.data();
@@ -66,16 +70,6 @@ ScalarTree SweepEdgesInOrder(uint32_t n, uint32_t m, const VertexId* eu,
                     std::move(order), num_roots);
 }
 
-// Sort-then-sweep wrapper shared by the EdgeIndex overload.
-ScalarTree SweepEdges(uint32_t n, uint32_t m, const VertexId* eu,
-                      const VertexId* ev,
-                      const std::vector<double>& values) {
-  // The single sort: edges by (value desc, id asc) — superlevel sweep.
-  std::vector<uint32_t> order, rank;
-  tree_core::SortSweepOrder(values, &order, &rank);
-  return SweepEdgesInOrder(n, m, eu, ev, values, std::move(order));
-}
-
 }  // namespace
 
 ScalarTree BuildEdgeScalarTree(const Graph& g,
@@ -90,20 +84,8 @@ ScalarTree BuildEdgeScalarTree(const Graph& g,
 
 ScalarTree BuildEdgeScalarTreeParallel(const Graph& g,
                                        const EdgeScalarField& field,
-                                       const ParallelOptions& options) {
-  const uint32_t m = static_cast<uint32_t>(g.NumEdges());
-  assert(field.Size() == m);
-  const uint32_t lanes =
-      options.num_threads == 0 ? DefaultThreads() : options.num_threads;
-  // Exact sequential fallback: same code path, not a 1-lane simulation.
-  if (lanes <= 1) return BuildEdgeScalarTree(g, field);
-  // Parallel sort, sequential sweep (see the header for why the edge
-  // sweep cannot be chunked); identical order array => identical tree.
-  std::vector<uint32_t> order, rank;
-  tree_core::ParallelSortSweepOrder(field.Values(), &order, &rank, options);
-  return SweepEdgesInOrder(g.NumVertices(), m, g.EdgeSources().data(),
-                           g.EdgeTargets().data(), field.Values(),
-                           std::move(order));
+                                       const ParallelOptions& /*options*/) {
+  return BuildEdgeScalarTree(g, field);
 }
 
 ScalarTree BuildEdgeScalarTree(const Graph& g, const EdgeIndex& index,
@@ -117,8 +99,10 @@ ScalarTree BuildEdgeScalarTree(const Graph& g, const EdgeIndex& index,
 uint64_t EdgeScalarTreeBuildBytes(uint32_t num_vertices,
                                   uint64_t num_edges) {
   // Per vertex: uf + comp_size + head (u32 each). Per edge: order +
-  // rank + parents (u32 each; endpoints come straight from the graph)
-  // plus the values copy (f64).
+  // parents (u32 each; endpoints come straight from the graph), the
+  // values copy (f64), and 4 B of slack. The sort's u64 key array and
+  // u32 ping-pong buffer are freed before the sweep arrays exist, and
+  // order + buffer + keys (16 B per edge) stays below the 20 B charged.
   return static_cast<uint64_t>(num_vertices) * 12 + num_edges * (3 * 4 + 8);
 }
 

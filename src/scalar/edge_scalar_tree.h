@@ -13,7 +13,7 @@
 // the original graph: an edge-level-set component is exactly a set of
 // vertices connected by already-swept edges, so sweeping edge {u, v}
 // merges the components at u and v and chains their head edges under the
-// new edge. Total cost O(E log E) for the sort plus near-linear
+// new edge. Total cost O(E) for the radix sort plus near-linear
 // union-find, independent of degree skew.
 //
 // The result is an ordinary ScalarTree whose node ids are edge ids in
@@ -68,13 +68,14 @@ ScalarTree BuildEdgeScalarTree(const Graph& g, const EdgeScalarField& field);
 ScalarTree BuildEdgeScalarTree(const Graph& g, const EdgeIndex& index,
                                const EdgeScalarField& field);
 
-/// Parallel Algorithm 3: the (value desc, id asc) sort and the rank
-/// setup run on the pool; byte-identical to BuildEdgeScalarTree for
-/// every thread count. The sweep itself stays sequential BY DESIGN: its
-/// same-component case is a plateau CHAIN (parent[head] = e; head = e),
-/// not a no-op, so the prune-and-replay filter that parallelizes the
-/// vertex sweep is unsound here — a chunk-local sweep cannot know the
-/// global head an edge must chain under. See docs/PARALLELISM.md.
+/// Algorithm 3 under the ParallelOptions signature the other builds
+/// share: runs BuildEdgeScalarTree for every thread count. The sweep is
+/// sequential BY DESIGN: its same-component case is a plateau CHAIN
+/// (parent[head] = e; head = e), not a no-op, so the prune-and-replay
+/// filter that parallelizes the vertex sweep is unsound here — a
+/// chunk-local sweep cannot know the global head an edge must chain
+/// under — and the linear-time sort leaves nothing worth a pool region.
+/// See docs/PARALLELISM.md.
 ScalarTree BuildEdgeScalarTreeParallel(const Graph& g,
                                        const EdgeScalarField& field,
                                        const ParallelOptions& options = {});

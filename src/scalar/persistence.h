@@ -55,7 +55,7 @@ struct PersistencePair {
 /// All pairs of the tree's filtration, essential pairs first, then by
 /// persistence descending (ties: birth_element ascending). Exactly one
 /// pair per leaf; NumRoots() of them are essential. O(n) after the
-/// O(n log n) tree build.
+/// near-linear tree build.
 std::vector<PersistencePair> PersistencePairs(const ScalarTree& tree);
 
 /// The tree's values with every non-essential feature of persistence

@@ -77,7 +77,7 @@ ScalarTree BuildVertexScalarTreeParallel(const Graph& g,
   const std::vector<double>& values = field.Values();
 
   std::vector<uint32_t> order, rank;
-  tree_core::ParallelSortSweepOrder(values, &order, &rank, options);
+  tree_core::SortSweepOrder(values, &order, &rank);
 
   const uint64_t min_chunk = options.grain == 0 ? 4096 : options.grain;
   const std::vector<uint64_t> bounds =
@@ -187,7 +187,9 @@ ScalarTree BuildVertexScalarTreeParallel(const Graph& g,
 
 uint64_t VertexScalarTreeBuildBytes(uint32_t num_vertices) {
   // order + rank + uf + comp_size + head + parents (u32 each) plus the
-  // values copy the ScalarTree keeps (f64).
+  // values copy the ScalarTree keeps (f64). The sort's u64 key array is
+  // freed before the sweep arrays exist, and order + rank + keys (16 B
+  // per vertex) stays below the sweep's own peak, so this bounds it.
   return static_cast<uint64_t>(num_vertices) * (6 * 4 + 8);
 }
 

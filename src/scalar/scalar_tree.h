@@ -81,9 +81,9 @@ ScalarTree BuildVertexScalarTree(const Graph& g,
 
 /// Parallel Algorithm 1: byte-identical output to BuildVertexScalarTree
 /// for EVERY thread count (pinned by tests/parallel_test.cc; determinism
-/// argument in docs/PARALLELISM.md). Three phases: a parallel
-/// (value desc, id asc) sort — unique result, the comparator is a total
-/// order — then chunk-local union-find sweeps over rank-partitioned
+/// argument in docs/PARALLELISM.md). Three phases: the sequential
+/// (value desc, id asc) radix sort — unique result, the order is
+/// total — then chunk-local union-find sweeps over rank-partitioned
 /// chunks that drop provably redundant intra-chunk edges, then a
 /// sequential boundary replay of the kept edges in sweep order, which
 /// performs the exact merge sequence of the sequential build.

@@ -3,116 +3,74 @@
 
 #include "scalar/tree_core.h"
 
-#include "common/parallel.h"
+#include <cstring>
+#include <iterator>
+#include <numeric>
+#include <utility>
 
 namespace graphscape {
 namespace tree_core {
 namespace {
 
-// The sweep comparator — must stay in lockstep with SortSweepOrder.
-struct SweepLess {
-  const double* values;
-  bool operator()(uint32_t a, uint32_t b) const {
-    const double fa = values[a], fb = values[b];
-    return fa > fb || (fa == fb && a < b);
-  }
-};
-
-// Co-rank split: the unique i such that the first k elements of
-// merge(A, B) are exactly A[0..i) followed by B[0..k-i). Unique because
-// the comparator is a strict total order (no ties to arbitrate).
-uint64_t CoRank(uint64_t k, const uint32_t* a, uint64_t na, const uint32_t* b,
-                uint64_t nb, const SweepLess& less) {
-  uint64_t lo = k > nb ? k - nb : 0;
-  uint64_t hi = k < na ? k : na;
-  while (lo < hi) {
-    const uint64_t i = lo + (hi - lo) / 2;  // lo <= i < hi <= min(k, na)
-    if (less(a[i], b[k - i - 1])) {
-      lo = i + 1;  // a[i] ranks among the first k: take more from A
-    } else {
-      hi = i;
-    }
-  }
-  return lo;
+// Order-preserving image of a finite double in the sweep order: keys
+// ASCEND as values descend. -0.0 folds into +0.0 first: the two compare
+// equal, so the sweep order ties them and breaks the tie by id.
+inline uint64_t DescendingKey(double v) {
+  if (v == 0.0) v = 0.0;
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  const uint64_t kSign = uint64_t{1} << 63;
+  return ~((bits & kSign) != 0 ? ~bits : bits | kSign);
 }
 
 }  // namespace
 
-void ParallelSortSweepOrder(const std::vector<double>& values,
-                            std::vector<uint32_t>* order,
-                            std::vector<uint32_t>* rank,
-                            const ParallelOptions& options) {
+void SortSweepOrder(const std::vector<double>& values,
+                    std::vector<uint32_t>* order,
+                    std::vector<uint32_t>* rank) {
+  constexpr uint32_t kDigitBits = 11;
+  constexpr uint64_t kDigitMask = (1u << kDigitBits) - 1;
   const uint32_t n = static_cast<uint32_t>(values.size());
-  const uint32_t lanes =
-      EffectiveLanes({options.num_threads, /*grain=*/1}, n);
-  if (lanes <= 1 || n < 4096) {
-    SortSweepOrder(values, order, rank);
-    return;
+  std::vector<uint64_t> keys(n);
+  uint64_t differ = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    keys[i] = DescendingKey(values[i]);
+    differ |= keys[i] ^ keys[0];
   }
-  const SweepLess less{values.data()};
+  uint32_t shifts[(64 + kDigitBits - 1) / kDigitBits];
+  uint32_t passes = 0;
+  for (uint32_t shift = 0; shift < 64; shift += kDigitBits) {
+    if ((differ >> shift) & kDigitMask) shifts[passes++] = shift;
+  }
+
   order->resize(n);
+  std::vector<uint32_t> scratch;
+  std::vector<uint32_t>* const other = rank != nullptr ? rank : &scratch;
+  if (passes > 1) other->resize(n);
+  // Ping-pong so the last pass lands in *order. The first pass reads the
+  // ascending ids straight off the loop counter.
+  uint32_t* dst = passes % 2 == 1 ? order->data() : other->data();
+  const uint32_t* src = nullptr;
+  uint32_t bucket[kDigitMask + 1];
+  for (uint32_t p = 0; p < passes; ++p) {
+    const uint32_t shift = shifts[p];
+    std::fill(std::begin(bucket), std::end(bucket), 0u);
+    for (uint32_t i = 0; i < n; ++i) {
+      ++bucket[(keys[i] >> shift) & kDigitMask];
+    }
+    uint32_t sum = 0;
+    for (uint32_t& b : bucket) sum += std::exchange(b, sum);
+    for (uint32_t i = 0; i < n; ++i) {
+      const uint32_t id = src == nullptr ? i : src[i];
+      dst[bucket[(keys[id] >> shift) & kDigitMask]++] = id;
+    }
+    src = dst;
+    dst = dst == order->data() ? other->data() : order->data();
+  }
+  if (passes == 0) std::iota(order->begin(), order->end(), 0u);
+  if (rank == nullptr) return;
   rank->resize(n);
-  uint32_t* const ord = order->data();
-  const ParallelOptions fill_opts{lanes, 0};
-  ParallelFor(0, n, fill_opts,
-              [ord](uint64_t i) { ord[i] = static_cast<uint32_t>(i); });
-
-  // Sort `lanes` nearly equal runs in place, then merge them pairwise in
-  // rounds, ping-ponging between the output array and an aux buffer.
-  // Each pairwise merge is itself split into `parts` co-rank slices so
-  // every round keeps all lanes busy (a sequential final merge would cap
-  // the sort's speedup at ~2x regardless of width).
-  const uint64_t num_runs = lanes;
-  std::vector<uint64_t> bounds(num_runs + 1);
-  for (uint64_t r = 0; r <= num_runs; ++r) bounds[r] = n * r / num_runs;
-  ParallelForBlocks(num_runs, {lanes, 1}, [&](uint64_t r, uint32_t) {
-    std::sort(ord + bounds[r], ord + bounds[r + 1], less);
-  });
-
-  std::vector<uint32_t> aux(n);
-  uint32_t* src = ord;
-  uint32_t* dst = aux.data();
-  std::vector<uint64_t> cur(bounds);
-  std::vector<uint64_t> nxt;
-  nxt.reserve(cur.size());
-  while (cur.size() - 1 > 1) {
-    const uint64_t runs = cur.size() - 1;
-    const uint64_t pairs = (runs + 1) / 2;
-    const uint64_t parts =
-        std::max<uint64_t>(1, (2 * lanes + pairs - 1) / pairs);
-    ParallelForBlocks(pairs * parts, {lanes, 1}, [&](uint64_t t, uint32_t) {
-      const uint64_t p = t / parts, q = t % parts;
-      const uint64_t a0 = cur[2 * p], a1 = cur[2 * p + 1];
-      const uint64_t b1 = 2 * p + 2 <= runs ? cur[2 * p + 2] : a1;
-      const uint32_t* A = src + a0;
-      const uint64_t na = a1 - a0;
-      const uint32_t* B = src + a1;
-      const uint64_t nb = b1 - a1;
-      const uint64_t len = na + nb;
-      const uint64_t k0 = len * q / parts, k1 = len * (q + 1) / parts;
-      if (k0 >= k1) return;
-      const uint64_t i0 = CoRank(k0, A, na, B, nb, less);
-      const uint64_t i1 = CoRank(k1, A, na, B, nb, less);
-      std::merge(A + i0, A + i1, B + (k0 - i0), B + (k1 - i1), dst + a0 + k0,
-                 less);
-    });
-    nxt.clear();
-    for (uint64_t p = 0; p < pairs; ++p) nxt.push_back(cur[2 * p]);
-    nxt.push_back(n);
-    cur.swap(nxt);
-    std::swap(src, dst);
-  }
-  if (src != ord) {
-    const uint32_t* const merged = src;
-    ParallelFor(0, n, fill_opts, [ord, merged](uint64_t i) {
-      ord[i] = merged[i];
-    });
-  }
-
-  uint32_t* const rank_data = rank->data();
-  ParallelFor(0, n, fill_opts, [ord, rank_data](uint64_t i) {
-    rank_data[ord[i]] = static_cast<uint32_t>(i);
-  });
+  for (uint32_t i = 0; i < n; ++i) (*rank)[(*order)[i]] = i;
 }
 
 std::vector<uint64_t> MakeSweepChunks(uint64_t n, uint32_t max_chunks,

@@ -45,10 +45,10 @@
 //  * What the parallel builds lean on (docs/PARALLELISM.md). Three of
 //    the invariants above are exactly what makes the chunked sweep of
 //    BuildVertexScalarTreeParallel byte-identical to the sequential
-//    build: (1) the sweep comparator is a STRICT TOTAL order, so the
-//    sorted (order, rank) arrays are unique — ParallelSortSweepOrder may
-//    schedule its chunk sorts and co-rank merges any way it likes and
-//    must still produce the same bytes; (2) at the moment element w is
+//    build: (1) the sweep order is a STRICT TOTAL order, so the sorted
+//    (order, rank) arrays are unique — both builds call the one
+//    SortSweepOrder, and any correct sort of a total order yields the
+//    same bytes; (2) at the moment element w is
 //    swept, w's component is the singleton {w} (every edge of w
 //    activates at key >= rank(w)), so a replay that re-derives Find(w)
 //    sees exactly what the sequential sweep saw; (3) a chunk-local
@@ -69,10 +69,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
 #include <vector>
 
-#include "common/parallel.h"
 #include "scalar/scalar_tree.h"
 #include "scalar/super_tree.h"
 
@@ -89,34 +87,20 @@ inline uint32_t Find(uint32_t* uf, uint32_t x) {
   return x;
 }
 
-// The single sort both algorithms hinge on: node ids by (value
+// The single sort both algorithms hinge on: element ids by (value
 // descending, id ascending) — the superlevel sweep order. Fills *order
-// with the sorted ids and *rank with its inverse; comparing ranks is the
-// total order used by every sweep (rank 0 is the global maximum).
-inline void SortSweepOrder(const std::vector<double>& values,
-                           std::vector<uint32_t>* order,
-                           std::vector<uint32_t>* rank) {
-  const uint32_t n = static_cast<uint32_t>(values.size());
-  order->resize(n);
-  std::iota(order->begin(), order->end(), 0u);
-  std::sort(order->begin(), order->end(),
-            [&values](uint32_t a, uint32_t b) {
-              const double fa = values[a], fb = values[b];
-              return fa > fb || (fa == fb && a < b);
-            });
-  rank->resize(n);
-  for (uint32_t i = 0; i < n; ++i) (*rank)[(*order)[i]] = i;
-}
-
-// SortSweepOrder, parallelized: chunk sorts followed by co-rank-split
-// merge rounds on the pool. The comparator is a strict total order, so
-// the sorted sequence is UNIQUE — the output arrays are byte-identical
-// to SortSweepOrder's for every thread count and every chunking. Falls
-// back to the sequential sort when the effective width is 1.
-void ParallelSortSweepOrder(const std::vector<double>& values,
-                            std::vector<uint32_t>* order,
-                            std::vector<uint32_t>* rank,
-                            const ParallelOptions& options);
+// with the sorted ids and, when `rank` is non-null, *rank with its
+// inverse; comparing ranks is the total order the vertex sweep uses
+// (rank 0 is the global maximum). A stable LSD radix sort over an
+// order-preserving 64-bit key of each value: linear in n, ids seeded
+// ascending so ties stay in id order, and digits on which every key
+// agrees skipped (integer fields below 512, such as K-Core / K-Truss
+// numbers, take 2 passes; distinct doubles 6). *rank doubles as the
+// ping-pong buffer. Values must be finite (CheckedScalarField guarantees
+// it).
+void SortSweepOrder(const std::vector<double>& values,
+                    std::vector<uint32_t>* order,
+                    std::vector<uint32_t>* rank);
 
 // Rank-space chunk boundaries for the phase-A local sweeps of
 // BuildVertexScalarTreeParallel: min(max_chunks, max(1, n / min_chunk))

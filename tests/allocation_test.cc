@@ -26,6 +26,7 @@
 #include "scalar/edge_scalar_tree.h"
 #include "scalar/scalar_tree.h"
 #include "scalar/super_tree.h"
+#include "scalar/tree_core.h"
 #include "scalar/tree_queries.h"
 #include "terrain/terrain_layout.h"
 #include "terrain/terrain_raster.h"
@@ -79,10 +80,30 @@ TEST(AllocationDisciplineTest, BuildAllocationCountIsConstantInGraphSize) {
   EXPECT_EQ(small, large)
       << "allocation count scales with graph size - something allocates "
          "inside the sweep loop";
-  // Algorithm 1's six flat arrays + the field copy + Algorithm 2's five;
-  // leave headroom for minor standard-library noise but stay well below
-  // anything per-node.
+  // Algorithm 1's six flat arrays + the sort's key array + the field copy
+  // + Algorithm 2's five; leave headroom for minor standard-library noise
+  // but stay well below anything per-node.
   EXPECT_LE(large, 24u);
+}
+
+uint64_t AllocationsDuringSort(const std::vector<double>& values) {
+  std::vector<uint32_t> order, rank;
+  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  tree_core::SortSweepOrder(values, &order, &rank);
+  const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(order.size(), values.size());
+  return after - before;
+}
+
+TEST(AllocationDisciplineTest, SortAllocationCountIsIndependentOfPassCount) {
+  // Integers below 97 need 2 radix passes, distinct doubles need 6; the
+  // digit histogram is allocated once, never per pass.
+  constexpr uint32_t kCount = 1 << 14;
+  Rng rng(7);
+  std::vector<double> integers(kCount), distinct(kCount);
+  for (double& v : integers) v = static_cast<double>(rng.UniformInt(97));
+  for (double& v : distinct) v = rng.UniformDouble();
+  EXPECT_EQ(AllocationsDuringSort(integers), AllocationsDuringSort(distinct));
 }
 
 uint64_t AllocationsDuringParallelBuild(uint32_t n, uint32_t threads) {
@@ -111,18 +132,16 @@ TEST(AllocationDisciplineTest,
   // (thread creation allocates; it happens once per process, not per
   // build). The parallel build then follows the same discipline as the
   // sequential one — the per-chunk scratch (local union-find, kept-edge
-  // streams, sort runs) is a fixed NUMBER of arrays per chunk, and the
-  // chunk count depends only on the thread count, never on n. The sweep
-  // and merge loops themselves never allocate.
-  // Both sizes sit above the parallel-sort threshold so the two runs
-  // take the identical code path end to end.
+  // streams) is a fixed NUMBER of arrays per chunk, and the chunk count
+  // depends only on the thread count, never on n. The sweep and replay
+  // loops themselves never allocate.
   (void)AllocationsDuringParallelBuild(1 << 13, 4);
   const uint64_t small = AllocationsDuringParallelBuild(1 << 13, 4);
   const uint64_t large = AllocationsDuringParallelBuild(1 << 16, 4);
   EXPECT_EQ(small, large)
       << "allocation count scales with graph size - something allocates "
          "inside the chunked parallel sweep";
-  // The sequential build's arrays + the sort aux buffer + per-chunk
+  // The sequential build's arrays + the sort's key array + per-chunk
   // scratch (3 arrays x <=4 chunks) + the packed kept-edge streams.
   EXPECT_LE(large, 48u);
 }
@@ -149,8 +168,9 @@ TEST(AllocationDisciplineTest, EdgeBuildAllocationCountIsConstantInGraphSize) {
   EXPECT_EQ(small, large)
       << "allocation count scales with graph size - something allocates "
          "inside the edge sweep loop";
-  // The endpoint pair of arrays + Algorithm 3's six + the field copy +
-  // Algorithm 2's five; same headroom rule as the vertex bound.
+  // Algorithm 3's sort (order, key array, ping-pong buffer) and four
+  // sweep arrays + the field copy + Algorithm 2's five; same headroom
+  // rule as the vertex bound.
   EXPECT_LE(large, 28u);
 }
 

@@ -117,23 +117,6 @@ TEST(EffectiveLanesTest, ClampsToBlocksAndCeiling) {
   EXPECT_LE(EffectiveLanes({0, 1}, 1u << 20), kMaxThreads);
 }
 
-TEST(ParallelSortTest, MatchesSequentialSortSweepOrder) {
-  // Above the parallel-sort threshold, with heavy ties to stress the
-  // id tie-break through the co-rank merges.
-  constexpr uint32_t kCount = 40000;
-  Rng rng(123);
-  std::vector<double> values(kCount);
-  for (auto& v : values) v = static_cast<double>(rng.UniformInt(97));
-  std::vector<uint32_t> seq_order, seq_rank;
-  tree_core::SortSweepOrder(values, &seq_order, &seq_rank);
-  for (const uint32_t width : kWidths) {
-    std::vector<uint32_t> order, rank;
-    tree_core::ParallelSortSweepOrder(values, &order, &rank, {width, 0});
-    EXPECT_EQ(order, seq_order) << "width " << width;
-    EXPECT_EQ(rank, seq_rank) << "width " << width;
-  }
-}
-
 TEST(MakeSweepChunksTest, BoundsAreMonotoneAndClamped) {
   const std::vector<uint64_t> one = tree_core::MakeSweepChunks(10, 4, 100);
   ASSERT_EQ(one.size(), 2u);  // min_chunk caps the count at 1

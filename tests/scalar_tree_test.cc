@@ -10,13 +10,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "common/rng.h"
 #include "gen/generators.h"
 #include "graph/graph_builder.h"
+#include "scalar/tree_core.h"
 
 namespace graphscape {
 namespace {
@@ -153,6 +156,88 @@ TEST(ScalarTreeTest, RandomGraphsSatisfyTreeInvariants) {
       EXPECT_GT(position[p], position[v]);
     }
   }
+}
+
+// Checks SortSweepOrder against a comparator sort by (value desc, id
+// asc), with and without the rank output.
+void ExpectSweepOrderMatchesOracle(const std::vector<double>& values,
+                                   const char* label,
+                                   std::vector<uint32_t>* order,
+                                   std::vector<uint32_t>* rank) {
+  const uint32_t n = static_cast<uint32_t>(values.size());
+  std::vector<uint32_t> expected(n);
+  std::iota(expected.begin(), expected.end(), 0u);
+  std::sort(expected.begin(), expected.end(), [&values](uint32_t a,
+                                                        uint32_t b) {
+    const double fa = values[a], fb = values[b];
+    return fa > fb || (fa == fb && a < b);
+  });
+  tree_core::SortSweepOrder(values, order, rank);
+  EXPECT_EQ(*order, expected) << label;
+  ASSERT_EQ(rank->size(), n) << label;
+  for (uint32_t i = 0; i < n; ++i) {
+    ASSERT_EQ((*rank)[expected[i]], i) << label << " rank of " << expected[i];
+  }
+  std::vector<uint32_t> order_only;
+  tree_core::SortSweepOrder(values, &order_only, /*rank=*/nullptr);
+  EXPECT_EQ(order_only, expected) << label << " without rank";
+}
+
+TEST(SweepOrderTest, MatchesComparatorOracle) {
+  constexpr uint32_t kCount = 40000;
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
+  constexpr double kMinNormal = std::numeric_limits<double>::min();
+  Rng rng(123);
+  // Reused across cases, largest first, so every call overwrites stale
+  // contents of a longer previous result.
+  std::vector<uint32_t> order, rank;
+
+  std::vector<double> uniform(kCount);
+  for (double& v : uniform) v = rng.UniformDouble();
+  ExpectSweepOrderMatchesOracle(uniform, "uniform doubles", &order, &rank);
+
+  std::vector<double> ties(kCount);
+  for (double& v : ties) v = static_cast<double>(rng.UniformInt(97));
+  ExpectSweepOrderMatchesOracle(ties, "UniformInt(97)", &order, &rank);
+
+  std::vector<double> negatives(kCount);
+  for (double& v : negatives) {
+    v = rng.UniformInt(2) == 0 ? -static_cast<double>(rng.UniformInt(50))
+                               : (rng.UniformDouble() - 0.5) * 1e6;
+  }
+  ExpectSweepOrderMatchesOracle(negatives, "negatives", &order, &rank);
+
+  // +0.0 and -0.0 compare equal, so they must tie by id.
+  const double signed_zeros_pool[] = {0.0, -0.0, 1.0, -1.0};
+  std::vector<double> zeros(kCount);
+  for (double& v : zeros) v = signed_zeros_pool[rng.UniformInt(4)];
+  ExpectSweepOrderMatchesOracle(zeros, "signed zeros", &order, &rank);
+
+  const double extremes_pool[] = {kMax,        -kMax,       kDenorm,
+                                  -kDenorm,    2 * kDenorm, kMinNormal,
+                                  -kMinNormal, 0.0,         -0.0,
+                                  1e-310,      -1e-310,     1.0};
+  std::vector<double> extremes(kCount);
+  for (double& v : extremes) v = extremes_pool[rng.UniformInt(12)];
+  ExpectSweepOrderMatchesOracle(extremes, "subnormals and DBL_MAX", &order,
+                                &rank);
+
+  // Values a few ulps apart: only the lowest mantissa bits differ.
+  std::vector<double> ulps(kCount);
+  for (double& v : ulps) {
+    const double base = rng.UniformInt(2) == 0 ? 1.0 : -1.0;
+    v = base;
+    for (uint32_t k = rng.UniformInt(8); k > 0; --k) {
+      v = std::nextafter(v, 2 * base);
+    }
+  }
+  ExpectSweepOrderMatchesOracle(ulps, "lowest mantissa bit", &order, &rank);
+
+  ExpectSweepOrderMatchesOracle(std::vector<double>(1000, 2.5),
+                                "all values equal", &order, &rank);
+  ExpectSweepOrderMatchesOracle({-3.0}, "n = 1", &order, &rank);
+  ExpectSweepOrderMatchesOracle({}, "n = 0", &order, &rank);
 }
 
 }  // namespace
