@@ -10,10 +10,15 @@ Usage:
 
 Tracked rows:
 
-  * Microbenchmark throughput (items_per_second) for the hot paths:
-    Algorithm 1 (vertex tree), Algorithm 3 (edge tree), the analysis
-    layer's member index / persistence scans, and the terrain pipeline
-    (rasterization pixels/s, spring layout vertex-iterations/s). A row
+  * Microbenchmark throughput for the hot paths: Algorithm 1 (vertex
+    tree), Algorithm 3 (edge tree), the K-Core and K-Truss peels, the
+    analysis layer's member index / persistence scans, and the terrain
+    pipeline (rasterization pixels/s, spring layout
+    vertex-iterations/s). Throughput is on wall time for every row, on
+    both sides: Google Benchmark's items_per_second divides by the
+    calling thread's cpu_time, so each row is rescaled by
+    cpu_time / real_time (a pool-backed /threads:N row's caller sleeps
+    while the lanes work, which would otherwise inflate it). A row
     regressing by more than --max-regression (default 25%) fails the
     gate. A tracked row missing from CURRENT fails too — a bench
     silently disappearing is a regression. A row missing from BASELINE
@@ -69,6 +74,9 @@ TRACKED_BENCHMARKS = [
     "BM_PersistencePairs/131072",
     "BM_Rasterize/512",
     "BM_SpringLayout/16384",
+    # The peeling decompositions behind the K-Core and K-Truss fields.
+    "BM_CoreNumbers/65536",
+    "BM_TrussNumbers/32768",
     # Parallel construction engine (docs/PARALLELISM.md): the fixed-size
     # sequential references and their 4-lane rows. Tracking both keeps a
     # regression in EITHER path visible even on 1-core runners, where the
@@ -144,11 +152,16 @@ TABLE2_ROW = re.compile(
 
 
 def load_benchmarks(merged):
-    """name -> items_per_second for benchmark entries that report one."""
+    """name -> wall-time items/s for benchmark entries that report one.
+
+    items_per_second is items / cpu_time; items / real_time is that
+    times cpu_time / real_time."""
     rows = {}
     for entry in merged.get("benchmarks", []):
         if "items_per_second" in entry:
-            rows[entry["name"]] = float(entry["items_per_second"])
+            rows[entry["name"]] = (float(entry["items_per_second"]) *
+                                   float(entry["cpu_time"]) /
+                                   float(entry["real_time"]))
     return rows
 
 

@@ -3,27 +3,21 @@
 
 #include "metrics/kcore.h"
 
-#include "common/bucket_peel.h"
+#include "common/peel_by_level.h"
 
 namespace graphscape {
 
 std::vector<uint32_t> CoreNumbers(const Graph& g) {
   const uint32_t n = g.NumVertices();
-  // Degrees double as the live support array; core[v] is v's degree at the
-  // moment it is peeled.
-  std::vector<uint32_t> degree(n);
-  for (uint32_t v = 0; v < n; ++v) degree[v] = g.Degree(v);
-  BucketPeeler peeler(&degree);
-
+  // Degrees double as the live support array; after the peel core[v] is
+  // v's degree at the level it was peeled.
   std::vector<uint32_t> core(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    const uint32_t v = peeler.ItemAt(i);
-    const uint32_t level = degree[v];
-    core[v] = level;
+  for (uint32_t v = 0; v < n; ++v) core[v] = g.Degree(v);
+  PeelByLevel(&core, [&g](uint32_t v, auto& demote) {
     // Already-peeled neighbors sit at their (lower) peel level, so the
-    // floor makes demotion skip them.
-    for (const VertexId u : g.Neighbors(v)) peeler.Demote(u, level);
-  }
+    // floor inside demote skips them.
+    for (const VertexId u : g.Neighbors(v)) demote(u);
+  });
   return core;
 }
 

@@ -3,10 +3,12 @@
 //
 // K-Core decomposition — the paper's workhorse vertex scalar field (§III).
 //
-// Batagelj–Zaversnik bucket peeling: vertices bin-sorted by degree, peeled
-// in nondecreasing order, each neighbor demotion is an O(1) swap inside the
-// flat position/bucket arrays. O(n + m) total, four uint32 arrays, no heap
-// traffic after setup.
+// Level-synchronous peeling (common/peel_by_level.h): at each level k,
+// every vertex whose live degree has fallen to k is peeled, and peeling
+// it lowers each surviving neighbor's degree. The degree array is the
+// only support array and becomes the output. O(n + m) total, two more
+// uint32 arrays of n for the live list and the frontier, no heap traffic
+// after setup.
 
 #ifndef GRAPHSCAPE_METRICS_KCORE_H_
 #define GRAPHSCAPE_METRICS_KCORE_H_

@@ -5,8 +5,8 @@
 
 #include <algorithm>
 
-#include "common/bucket_peel.h"
 #include "common/parallel.h"
+#include "common/peel_by_level.h"
 #include "graph/edge_index.h"
 #include "graph/intersect.h"
 
@@ -25,11 +25,6 @@ std::vector<std::pair<VertexId, VertexId>> EdgeList(const Graph& g) {
 
 namespace {
 
-// The peel proper, after the support-counting pass. Order-serial: each
-// peel demotes surviving edges, which decides who peels next.
-std::vector<uint32_t> PeelBySupport(const Graph& g, const EdgeIndex& index,
-                                    std::vector<uint32_t>* support_in);
-
 // Support = triangles per edge; one independent count-only sorted-run
 // intersection per edge (SIMD/galloping, no callback), so the parallel
 // variant reuses this body verbatim.
@@ -43,34 +38,14 @@ std::vector<uint32_t> CountSupport(const Graph& g, const EdgeIndex& index,
   return support;
 }
 
-}  // namespace
-
-std::vector<uint32_t> TrussNumbers(const Graph& g) {
-  const EdgeIndex index(g);
-  std::vector<uint32_t> support = CountSupport(g, index, {1, 0});
-  return PeelBySupport(g, index, &support);
-}
-
-std::vector<uint32_t> TrussNumbersParallel(const Graph& g,
-                                           const ParallelOptions& options) {
-  const EdgeIndex index(g);
-  std::vector<uint32_t> support = CountSupport(g, index, options);
-  return PeelBySupport(g, index, &support);
-}
-
-namespace {
-
+// The peel proper, after the support-counting pass. Order-serial: each
+// peel demotes surviving edges, which decides who peels next.
 std::vector<uint32_t> PeelBySupport(const Graph& g, const EdgeIndex& index,
-                                    std::vector<uint32_t>* support_in) {
-  std::vector<uint32_t>& support = *support_in;
-  const uint32_t m = index.NumEdges();
-  BucketPeeler peeler(&support);
-  std::vector<char> peeled(m, 0);
-  std::vector<uint32_t> truss(m, 2);
-  for (uint32_t i = 0; i < m; ++i) {
-    const uint32_t e = peeler.ItemAt(i);
-    const uint32_t level = support[e];
-    truss[e] = level + 2;
+                                    std::vector<uint32_t> support) {
+  // Set when an edge is processed, not when it is queued: a queued edge
+  // still closes its triangles until its own turn comes.
+  std::vector<char> peeled(index.NumEdges(), 0);
+  PeelByLevel(&support, [&](uint32_t e, auto& demote) {
     peeled[e] = 1;
     const VertexId u = index.U(e), v = index.V(e);
     // w's slot in u's run is edge {u, w}, its slot in v's run is {v, w}.
@@ -80,14 +55,26 @@ std::vector<uint32_t> PeelBySupport(const Graph& g, const EdgeIndex& index,
       // The triangle {u, v, w} only still supports e1/e2 if neither has
       // been peeled away already.
       if (!peeled[e1] && !peeled[e2]) {
-        peeler.Demote(e1, level);
-        peeler.Demote(e2, level);
+        demote(e1);
+        demote(e2);
       }
     });
-  }
-  return truss;
+  });
+  for (uint32_t& s : support) s += 2;  // truss = peel level + 2
+  return support;
 }
 
 }  // namespace
+
+std::vector<uint32_t> TrussNumbers(const Graph& g) {
+  const EdgeIndex index(g);
+  return PeelBySupport(g, index, CountSupport(g, index, {1, 0}));
+}
+
+std::vector<uint32_t> TrussNumbersParallel(const Graph& g,
+                                           const ParallelOptions& options) {
+  const EdgeIndex index(g);
+  return PeelBySupport(g, index, CountSupport(g, index, options));
+}
 
 }  // namespace graphscape

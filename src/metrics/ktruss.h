@@ -5,12 +5,12 @@
 // terrains (§III, Fig. 7).
 //
 // Support counting via count-only sorted-run intersection, then the same
-// bucket-peel discipline as kcore.h applied to edges: peel the
-// minimum-support edge, demote the two surviving edges of each of its
-// triangles with O(1) bucket swaps. The peel walks N(u) ∩ N(v) with
-// ForEachCommonSlot, and the two CSR slots of each common neighbor w are
-// the edges {u, w} and {v, w}, so EdgeIndex::EdgeAtSlot names them with
-// no search. truss[e] = (support when peeled) + 2, so an edge in a
+// level-synchronous peel as kcore.h applied to edges: at each level k,
+// peel every edge whose support has fallen to k, and demote the two
+// surviving edges of each of its triangles. The peel walks N(u) ∩ N(v)
+// with ForEachCommonSlot, and the two CSR slots of each common neighbor
+// w are the edges {u, w} and {v, w}, so EdgeIndex::EdgeAtSlot names them
+// with no search. truss[e] = (support when peeled) + 2, so an edge in a
 // k-truss but no (k+1)-truss reports k.
 
 #ifndef GRAPHSCAPE_METRICS_KTRUSS_H_
@@ -33,8 +33,8 @@ std::vector<std::pair<VertexId, VertexId>> EdgeList(const Graph& g);
 std::vector<uint32_t> TrussNumbers(const Graph& g);
 
 /// TrussNumbers with the support-counting pass (one sorted-run
-/// intersection per edge, disjoint writes) on the pool; the bucket peel
-/// itself is inherently order-serial and stays sequential.
+/// intersection per edge, disjoint writes) on the pool; the peel itself
+/// is order-serial and runs on the calling thread.
 /// EQUAL output to TrussNumbers for every thread count.
 std::vector<uint32_t> TrussNumbersParallel(const Graph& g,
                                            const ParallelOptions& options = {});

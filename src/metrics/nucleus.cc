@@ -6,8 +6,9 @@
 #include <algorithm>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
-#include "common/bucket_peel.h"
+#include "common/peel_by_level.h"
 #include "graph/edge_index.h"
 #include "graph/intersect.h"
 
@@ -57,9 +58,6 @@ NucleusDecomposition Nucleus34(const Graph& g) {
     support[i] = CountCommonNeighbors(g, tri[0], tri[1], tri[2]);
   }
 
-  BucketPeeler peeler(&support);
-  std::vector<char> peeled(t, 0);
-  result.nucleus_numbers.assign(t, 0);
   auto triangle_id = [&](VertexId a, VertexId b, VertexId c) {
     VertexId x = a, y = b, z = c;
     if (x > y) std::swap(x, y);
@@ -67,11 +65,10 @@ NucleusDecomposition Nucleus34(const Graph& g) {
     if (x > y) std::swap(x, y);
     return id_of.find(PackTriple(x, y, z))->second;
   };
-
-  for (uint32_t k = 0; k < t; ++k) {
-    const uint32_t i = peeler.ItemAt(k);
-    const uint32_t level = support[i];
-    result.nucleus_numbers[i] = level;
+  // Set when a triangle is processed, not when it is queued: a queued
+  // triangle still closes its 4-cliques until its own turn comes.
+  std::vector<char> peeled(t, 0);
+  PeelByLevel(&support, [&](uint32_t i, auto& demote) {
     peeled[i] = 1;
     const auto& tri = result.triangles[i];
     ForEachCommonNeighbor(g, tri[0], tri[1], tri[2], [&](VertexId d) {
@@ -81,11 +78,12 @@ NucleusDecomposition Nucleus34(const Graph& g) {
       const uint32_t t2 = triangle_id(tri[0], tri[2], d);
       const uint32_t t3 = triangle_id(tri[1], tri[2], d);
       if (peeled[t1] || peeled[t2] || peeled[t3]) return;
-      peeler.Demote(t1, level);
-      peeler.Demote(t2, level);
-      peeler.Demote(t3, level);
+      demote(t1);
+      demote(t2);
+      demote(t3);
     });
-  }
+  });
+  result.nucleus_numbers = std::move(support);
   return result;
 }
 

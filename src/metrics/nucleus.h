@@ -3,9 +3,11 @@
 //
 // (3,4)-nucleus decomposition (Sariyuce et al.), the top rung of the
 // paper's dense-subgraph ladder: triangles are the cells, 4-cliques supply
-// the support. Peeling mirrors K-Truss one level up — remove the
-// minimum-support triangle, demote the other three triangles of every
-// 4-clique it completed, provided that clique is still intact.
+// the support. Peeling mirrors K-Truss one level up, on the same
+// level-synchronous peel (common/peel_by_level.h): at each level k, peel
+// every triangle whose support has fallen to k and demote the other three
+// triangles of every 4-clique it completed, provided that clique is still
+// intact.
 
 #ifndef GRAPHSCAPE_METRICS_NUCLEUS_H_
 #define GRAPHSCAPE_METRICS_NUCLEUS_H_
@@ -21,7 +23,9 @@ namespace graphscape {
 struct NucleusDecomposition {
   /// Each triangle as an ascending vertex triple.
   std::vector<std::array<VertexId, 3>> triangles;
-  /// nucleus_numbers[t] = 4-clique support of triangle t when peeled.
+  /// nucleus_numbers[t] = the level at which triangle t was peeled: the
+  /// largest k such that t is in the largest set of triangles whose
+  /// members each lie in at least k 4-cliques made of set members.
   std::vector<uint32_t> nucleus_numbers;
 };
 

@@ -21,6 +21,7 @@
 #include "graph/intersect.h"
 #include "graph/intersect_simd.h"
 #include "layout/spring_layout.h"
+#include "metrics/kcore.h"
 #include "metrics/ktruss.h"
 #include "metrics/triangles.h"
 #include "scalar/edge_scalar_tree.h"
@@ -277,8 +278,9 @@ uint64_t AllocationsDuringTrussNumbers(uint32_t n) {
 
 TEST(AllocationDisciplineTest, TrussNumbersAllocationsConstantInGraphSize) {
   // TrussNumbers allocates a fixed set of arrays up front (the EdgeIndex
-  // slot ids and its fill cursor, support, the bucket peeler's arrays,
-  // the peeled flags, the output) and nothing per edge or per triangle:
+  // slot ids and its fill cursor, support, which becomes the output, the
+  // peel's live list and frontier, the peeled flags) and nothing per edge
+  // or per triangle:
   // the peel resolves side edges from CSR slots with no scratch.
   const uint64_t small = AllocationsDuringTrussNumbers(1 << 8);
   const uint64_t large = AllocationsDuringTrussNumbers(1 << 14);
@@ -286,6 +288,28 @@ TEST(AllocationDisciplineTest, TrussNumbersAllocationsConstantInGraphSize) {
       << "allocation count scales with graph size - something allocates "
          "inside the support count or the peel";
   EXPECT_LE(large, 12u);
+}
+
+uint64_t AllocationsDuringCoreNumbers(uint32_t n) {
+  Rng rng(42);
+  const Graph g = BarabasiAlbert(n, 4, &rng);
+  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const std::vector<uint32_t> core = CoreNumbers(g);
+  const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(core.size(), g.NumVertices());
+  return after - before;
+}
+
+TEST(AllocationDisciplineTest, CoreNumbersAllocationsConstantInGraphSize) {
+  // CoreNumbers allocates three arrays up front (the degrees, which
+  // become the output, and the peel's live list and frontier) and
+  // nothing per level, vertex or demotion.
+  const uint64_t small = AllocationsDuringCoreNumbers(1 << 8);
+  const uint64_t large = AllocationsDuringCoreNumbers(1 << 14);
+  EXPECT_EQ(small, large)
+      << "allocation count scales with graph size - something allocates "
+         "inside the peel";
+  EXPECT_LE(large, 3u);
 }
 
 uint64_t AllocationsDuringSpringRefine(uint32_t iterations) {

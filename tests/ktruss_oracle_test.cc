@@ -6,7 +6,7 @@
 // triangles; this oracle finds it for each k by deleting, over and over,
 // every edge with fewer than k - 2 triangles left, and truss[e] is the
 // largest k whose truss keeps e. It shares no code with TrussNumbers
-// (no support counting, no bucket peel, no intersection layer, no
+// (no support counting, no peel, no intersection layer, no
 // EdgeIndex), so agreement pins the peel's answer, not its mechanics.
 
 #include <gtest/gtest.h>
