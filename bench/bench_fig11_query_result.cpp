@@ -7,6 +7,7 @@
 // within / adjacent to green; (iii) attribute 1 separates genus better than
 // attribute 2 (greater terrain-height variance across genus).
 
+#include <cinttypes>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -34,7 +35,8 @@ int main() {
   nn.distance_threshold = 2.5;
   nn.max_neighbors = 8;
   const Graph graph = BuildNnGraph(table, nn);
-  std::printf("query result: %zu rows -> NN graph %u vertices, %u edges\n",
+  std::printf("query result: %zu rows -> NN graph %u vertices, %" PRIu64
+              " edges\n",
               table.NumRows(), graph.NumVertices(), graph.NumEdges());
 
   // (i)+(ii) genus separation in the NN graph itself: the blue genus

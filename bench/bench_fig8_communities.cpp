@@ -9,6 +9,7 @@
 // community (the paper's US-vs-China researcher groups).
 
 #include <algorithm>
+#include <cinttypes>
 #include <cstdio>
 
 #include "bench_util.h"
@@ -31,7 +32,7 @@ int main() {
   options.subclusters = 2;
   Rng rng(2017);
   const CommunityGraphResult dblp = OverlappingCommunities(options, &rng);
-  std::printf("DBLP(sub)-like: %u vertices, %u edges, 4 overlapping "
+  std::printf("DBLP(sub)-like: %u vertices, %" PRIu64 " edges, 4 overlapping "
               "communities\n",
               dblp.graph.NumVertices(), dblp.graph.NumEdges());
 

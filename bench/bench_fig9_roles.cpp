@@ -7,6 +7,7 @@
 // quantitatively by comparing mean heights per role, and a Table III
 // analogue lists exemplar members per role.
 
+#include <cinttypes>
 #include <cstdio>
 
 #include "bench_util.h"
@@ -31,7 +32,7 @@ int main() {
   options.num_whiskers = 30;
   Rng rng(9);
   const RoleCommunityResult amazon = RoleCommunityGraph(options, &rng);
-  std::printf("Amazon-like: %u vertices, %u edges; community of %zu "
+  std::printf("Amazon-like: %u vertices, %" PRIu64 " edges; community of %zu "
               "products\n",
               amazon.graph.NumVertices(), amazon.graph.NumEdges(),
               amazon.community_vertices.size());

@@ -19,8 +19,18 @@ namespace {
 // (~24) + an Rgb color. Rounded up; the pixel terms dominate real
 // renders.
 constexpr uint64_t kBytesPerSuperNode = 80;
-constexpr uint64_t kBytesPerRasterPixel = 8 + 4;  // height + owning node
-constexpr uint64_t kBytesPerImagePixel = 3;
+// The height field (height + owning node) and RenderOblique's depth
+// order (one packed 8-byte cell per raster pixel).
+constexpr uint64_t kBytesPerRasterPixel = 8 + 4 + 8;
+// RenderOblique's rotation tables (two doubles per raster row and per
+// column) and its depth-bucket starts (two per row or column, plus one);
+// charged per raster row and column, plus one.
+constexpr uint64_t kBytesPerRasterLine = 16 + 8;
+constexpr uint64_t kBytesPerImagePixel = 3;  // the image the caller keeps
+// RenderOblique's written mask (1 byte per image pixel) and its covered
+// run per image column (two ints).
+constexpr uint64_t kBytesPerMaskPixel = 1;
+constexpr uint64_t kBytesPerImageColumn = 8;
 
 struct Rung {
   bool simplified;
@@ -111,8 +121,11 @@ uint64_t TerrainRenderWorkingBytes(uint32_t tree_nodes,
   return static_cast<uint64_t>(tree_nodes) * kBytesPerSuperNode +
          static_cast<uint64_t>(raster_width) * raster_height *
              kBytesPerRasterPixel +
+         (static_cast<uint64_t>(raster_width) + raster_height + 1) *
+             kBytesPerRasterLine +
          static_cast<uint64_t>(image_width) * image_height *
-             kBytesPerImagePixel;
+             (kBytesPerImagePixel + kBytesPerMaskPixel) +
+         static_cast<uint64_t>(image_width) * kBytesPerImageColumn;
 }
 
 StatusOr<GuardedRenderResult> RenderVertexTerrainGuarded(

@@ -68,9 +68,12 @@ struct GuardedRenderResult {
 };
 
 /// Estimated working-set bytes of one render rung: layout + member index
-/// + node colors (per super node), the height field (12 bytes/pixel),
-/// and the output image (3 bytes/pixel). This is exactly what a rung
-/// charges, so tests can compute which rung a given cap lands on.
+/// + node colors (per super node), the height field and RenderOblique's
+/// depth order (20 bytes/raster pixel), its rotation tables and depth
+/// buckets (24 bytes per raster row and column), the output image and
+/// the render's written mask (3 + 1 bytes/image pixel) and its covered
+/// runs (8 bytes/image column). This is exactly what a rung charges, so
+/// tests can compute which rung a given cap lands on.
 uint64_t TerrainRenderWorkingBytes(uint32_t tree_nodes,
                                    uint32_t raster_width,
                                    uint32_t raster_height,

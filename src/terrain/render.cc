@@ -29,6 +29,17 @@ inline Rgb Lerp(Rgb a, Rgb b, double t) {
   return Rgb{channel(a.r, b.r), channel(a.g, b.g), channel(a.b, b.b)};
 }
 
+// std::lround without the libm call. x - trunc(x) is exact in binary
+// floating point, so the comparison against +-0.5 rounds halves away from
+// zero exactly as lround does.
+inline int RoundHalfAway(double x) {
+  double whole = std::trunc(x);
+  const double frac = x - whole;
+  if (frac >= 0.5) whole += 1.0;
+  if (frac <= -0.5) whole -= 1.0;
+  return static_cast<int>(whole);
+}
+
 inline Rgb CellColor(const HeightField& field,
                      const std::vector<Rgb>& node_colors, size_t index) {
   const uint32_t node = field.node_at[index];
@@ -138,44 +149,74 @@ Image RenderOblique(const HeightField& field,
   const double cx = image.width * 0.5;
   const double cy = image.height * 0.55;
 
-  // Back-to-front ordering by counting-sorting cells into depth buckets
-  // of their rotated "toward the viewer" coordinate.
-  const size_t cells = static_cast<size_t>(field.width) * field.height;
-  const uint32_t num_buckets = 2 * std::max(field.width, field.height);
-  std::vector<uint32_t> bucket_offsets(num_buckets + 1, 0);
-  std::vector<uint32_t> bucket_of(cells);
-  std::vector<uint32_t> bucket_items(cells);
-  const double inv_w = 1.0 / field.width, inv_h = 1.0 / field.height;
-  for (size_t i = 0; i < cells; ++i) {
-    const double u = ((i % field.width) + 0.5) * inv_w - 0.5;
-    const double v = ((i / field.width) + 0.5) * inv_h - 0.5;
-    const double vr = u * sin_a + v * cos_a;  // depth: larger = nearer
+  // The rotation's four products per axis: u*cos_a, u*sin_a per column,
+  // v*sin_a, v*cos_a per row, each rounded exactly as the per-cell
+  // expression rounds it.
+  const uint32_t fw = field.width, fh = field.height;
+  std::vector<double> axis(2 * (static_cast<size_t>(fw) + fh));
+  double* const u_cos = axis.data();
+  double* const u_sin = u_cos + fw;
+  double* const v_sin = u_sin + fw;
+  double* const v_cos = v_sin + fh;
+  const double inv_w = 1.0 / fw, inv_h = 1.0 / fh;
+  for (uint32_t x = 0; x < fw; ++x) {
+    const double u = (x + 0.5) * inv_w - 0.5;
+    u_cos[x] = u * cos_a;
+    u_sin[x] = u * sin_a;
+  }
+  for (uint32_t y = 0; y < fh; ++y) {
+    const double v = (y + 0.5) * inv_h - 0.5;
+    v_sin[y] = v * sin_a;
+    v_cos[y] = v * cos_a;
+  }
+
+  // Depth order by counting-sorting cells into buckets of their rotated
+  // "toward the viewer" coordinate (larger = nearer), cell index order
+  // within a bucket. Items pack (y << 32 | x).
+  const size_t cells = static_cast<size_t>(fw) * fh;
+  const uint32_t num_buckets = 2 * std::max(fw, fh);
+  const auto bucket_of = [&](uint32_t x, uint32_t y) {
+    const double vr = u_sin[x] + v_cos[y];
     const double t = (vr + std::sqrt(2.0) * 0.5) / std::sqrt(2.0);
-    bucket_of[i] = std::min(
-        static_cast<uint32_t>(t * num_buckets), num_buckets - 1);
-    ++bucket_offsets[bucket_of[i] + 1];
-  }
+    return std::min(static_cast<uint32_t>(t * num_buckets), num_buckets - 1);
+  };
+  std::vector<uint32_t> bucket_start(num_buckets + 1, 0);
+  for (uint32_t y = 0; y < fh; ++y)
+    for (uint32_t x = 0; x < fw; ++x) ++bucket_start[bucket_of(x, y) + 1];
   for (uint32_t b = 0; b < num_buckets; ++b)
-    bucket_offsets[b + 1] += bucket_offsets[b];
-  {
-    std::vector<uint32_t> cursor(bucket_offsets.begin(),
-                                 bucket_offsets.end() - 1);
-    for (size_t i = 0; i < cells; ++i)
-      bucket_items[cursor[bucket_of[i]]++] = static_cast<uint32_t>(i);
-  }
+    bucket_start[b + 1] += bucket_start[b];
+  std::vector<uint64_t> order(cells);
+  for (uint32_t y = 0; y < fh; ++y)
+    for (uint32_t x = 0; x < fw; ++x)
+      order[bucket_start[bucket_of(x, y)]++] =
+          static_cast<uint64_t>(y) << 32 | x;
 
   // Column width that leaves no holes after rotation.
   const int half_col = static_cast<int>(
       std::ceil(scale * std::max(inv_w, inv_h) * 0.75)) + 1;
 
-  for (size_t idx = 0; idx < cells; ++idx) {
-    const uint32_t i = bucket_items[idx];
-    const uint32_t x = i % field.width;
-    const uint32_t y = i / field.width;
-    const double u = (x + 0.5) * inv_w - 0.5;
-    const double v = (y + 0.5) * inv_h - 0.5;
-    const double ur = u * cos_a - v * sin_a;
-    const double vr = u * sin_a + v * cos_a;
+  // Walk the depth order front to back. Each cell paints a column
+  // footprint, and a pixel keeps its FIRST writer here, which is the
+  // last writer of a back-to-front painter: the bytes are the painter's.
+  // `written` (column-major) marks every final pixel; `covered[px]` is a
+  // run of rows of column px all written, skipped without reading the
+  // mask, and a cell whose footprint lies inside the runs is rejected
+  // before it is shaded. Coverage is tracked by the mask, never by
+  // colour, since node_colors may contain the sky colour.
+  const int img_w = static_cast<int>(image.width);
+  const int img_h = static_cast<int>(image.height);
+  std::vector<uint8_t> written(image.pixels.size(), 0);
+  struct Span {
+    int lo, hi;
+  };
+  std::vector<Span> covered(image.width, Span{img_h, -1});
+
+  for (size_t idx = cells; idx-- > 0;) {
+    const uint32_t x = static_cast<uint32_t>(order[idx]);
+    const uint32_t y = static_cast<uint32_t>(order[idx] >> 32);
+    const size_t i = static_cast<size_t>(y) * fw + x;
+    const double ur = u_cos[x] - v_sin[y];
+    const double vr = u_sin[x] + v_cos[y];
     const double h_norm =
         range > 0.0 ? (field.height_at[i] - field.sea_level) / range : 0.0;
 
@@ -183,29 +224,56 @@ Image RenderOblique(const HeightField& field,
     const double base_y = cy + vr * scale * sin_e;
     const double top_y = base_y - h_norm * camera.height_scale * scale * cos_e;
 
+    const int ix = RoundHalfAway(sx);
+    const int iy_base = RoundHalfAway(base_y);
+    const int iy_top = std::min(RoundHalfAway(top_y), iy_base);
+    const int px0 = std::max(ix - half_col, 0);
+    const int px1 = std::min(ix + half_col, img_w - 1);
+    const int py0 = std::max(iy_top, 0);
+    const int py1 = std::min(iy_base, img_h - 1);
+    if (px0 > px1 || py0 > py1) continue;  // off-screen
+    const auto final_in = [&](int px) {
+      return covered[px].lo <= py0 && py1 <= covered[px].hi;
+    };
+    int first_px = px0;
+    while (first_px <= px1 && final_in(first_px)) ++first_px;
+    if (first_px > px1) continue;  // hidden behind nearer cells
+
     // Slope shading: compare against the next cell along +x in field
     // space (a fixed light direction keeps renders deterministic).
     double shade = 1.0;
-    if (x + 1 < field.width && range > 0.0) {
+    if (x + 1 < fw && range > 0.0) {
       const double dh = (field.height_at[i] - field.height_at[i + 1]) / range;
       shade = std::min(std::max(1.0 + dh * 2.0, 0.55), 1.25);
     }
     const Rgb color = Shade(CellColor(field, node_colors, i), shade);
     const Rgb cliff = Shade(color, 0.62);
 
-    const int ix = static_cast<int>(std::lround(sx));
-    int iy_top = static_cast<int>(std::lround(top_y));
-    const int iy_base = static_cast<int>(std::lround(base_y));
-    iy_top = std::min(iy_top, iy_base);
-    for (int px = ix - half_col; px <= ix + half_col; ++px) {
-      if (px < 0 || px >= static_cast<int>(image.width)) continue;
-      for (int py = iy_top; py <= iy_base; ++py) {
-        if (py < 0 || py >= static_cast<int>(image.height)) continue;
-        // The top few pixels read as the plateau surface, the rest as
-        // the darker cliff face.
-        const bool plateau = py - iy_top <= 1;
-        image.pixels[static_cast<size_t>(py) * image.width + px] =
-            plateau ? color : cliff;
+    for (int px = first_px; px <= px1; ++px) {
+      if (final_in(px)) continue;
+      Span& span = covered[px];
+      uint8_t* const column = written.data() + static_cast<size_t>(px) * img_h;
+      Rgb* const pixels = image.pixels.data() + px;
+      // The top few pixels read as the plateau surface, the rest as the
+      // darker cliff face.
+      const auto paint = [&](int py) {
+        if (column[py]) return;
+        column[py] = 1;
+        pixels[static_cast<size_t>(py) * img_w] =
+            py - iy_top <= 1 ? color : cliff;
+      };
+      const int above_end = std::min(py1, span.lo - 1);
+      for (int py = py0; py <= above_end; ++py) paint(py);
+      for (int py = std::max({py0, span.hi + 1, above_end + 1}); py <= py1;
+           ++py)
+        paint(py);
+
+      // [py0, py1] is now written: join it to the run if they touch,
+      // otherwise keep the longer of the two.
+      if (py0 <= span.hi + 1 && py1 >= span.lo - 1) {
+        span = Span{std::min(span.lo, py0), std::max(span.hi, py1)};
+      } else if (py1 - py0 > span.hi - span.lo) {
+        span = Span{py0, py1};
       }
     }
   }

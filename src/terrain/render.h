@@ -7,8 +7,13 @@
 //
 //   * RenderOblique — the paper's 3D landscape view: the field is
 //     rotated by the camera azimuth, tilted by its elevation, and drawn
-//     back-to-front as vertical columns (classic heightfield voxel
-//     painting), with slope shading along the light direction.
+//     as vertical columns with slope shading along the light direction.
+//     Cells are walked front to back in depth-bucket order and a pixel
+//     keeps its first writer; a written mask plus one covered row run
+//     per screen column skip pixels already final, and cells hidden
+//     entirely are rejected before shading. The bytes equal those of the
+//     classic back-to-front heightfield painter (last writer wins), which
+//     tests/render_oracle_test.cc keeps as the oracle.
 //   * RenderTopDown — one output pixel per field cell, the 2D map view.
 //
 // Color lives per SUPER NODE, not per pixel: a column is colored by the

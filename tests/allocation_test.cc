@@ -29,15 +29,19 @@
 #include "scalar/super_tree.h"
 #include "scalar/tree_core.h"
 #include "scalar/tree_queries.h"
+#include "terrain/guarded_render.h"
+#include "terrain/render.h"
 #include "terrain/terrain_layout.h"
 #include "terrain/terrain_raster.h"
 
 namespace {
 std::atomic<uint64_t> g_alloc_count{0};
+std::atomic<uint64_t> g_alloc_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
@@ -47,6 +51,7 @@ void* operator new(std::size_t size) {
 // malloc/free (ASan flags a mixed pair as alloc-dealloc-mismatch).
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   return std::malloc(size);
 }
 
@@ -394,6 +399,64 @@ TEST(AllocationDisciplineTest, RasterPaintLoopAllocatesOnlyOutputArrays) {
       << "allocation count scales with resolution - something allocates "
          "inside the raster paint loop";
   EXPECT_LE(large, 4u);
+}
+
+uint64_t AllocationsDuringRender(uint32_t resolution, uint32_t image_width,
+                                 uint32_t image_height) {
+  Rng rng(42);
+  const Graph g = BarabasiAlbert(1 << 10, 4, &rng);
+  Rng field_rng(7);
+  std::vector<double> values(g.NumVertices());
+  for (auto& v : values) v = static_cast<double>(field_rng.UniformInt(16));
+  const SuperTree super(
+      BuildVertexScalarTree(g, VertexScalarField("f", values)));
+  RasterOptions options;
+  options.width = options.height = resolution;
+  const HeightField field =
+      RasterizeTerrain(BuildTerrainLayout(super), options);
+  const std::vector<Rgb> colors = HeightColors(super);
+  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const Image image =
+      RenderOblique(field, colors, Camera{}, image_width, image_height);
+  const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(image.pixels.size(),
+            static_cast<size_t>(image_width) * image_height);
+  return after - before;
+}
+
+TEST(AllocationDisciplineTest, RenderAllocatesOnlyUpFrontArrays) {
+  // RenderOblique allocates the image, the per-axis rotation tables, the
+  // depth buckets and order, the written mask and the per-column covered
+  // runs up front; neither raster nor image size adds allocations.
+  const uint64_t small = AllocationsDuringRender(64, 160, 120);
+  const uint64_t large = AllocationsDuringRender(512, 960, 720);
+  EXPECT_EQ(small, large)
+      << "allocation count scales with resolution - something allocates "
+         "inside the render walk";
+  EXPECT_LE(large, 8u);
+}
+
+TEST(AllocationDisciplineTest, RenderBudgetCoversRasterAndRenderBytes) {
+  // A guarded render rung charges TerrainRenderWorkingBytes before it
+  // rasterizes and renders; the charge must cover every byte those two
+  // steps allocate, or the budget admits rungs that do not fit.
+  Rng rng(42);
+  const Graph g = BarabasiAlbert(1 << 10, 4, &rng);
+  const SuperTree super(BuildVertexScalarTree(
+      g, VertexScalarField::FromCounts("KC", CoreNumbers(g))));
+  const TerrainLayout layout = BuildTerrainLayout(super);
+  const std::vector<Rgb> colors = HeightColors(super);
+  for (const uint32_t resolution : {64u, 512u}) {
+    RasterOptions options;
+    options.width = options.height = resolution;
+    const uint64_t before = g_alloc_bytes.load(std::memory_order_relaxed);
+    const HeightField field = RasterizeTerrain(layout, options);
+    const Image image = RenderOblique(field, colors, Camera{}, 960, 720);
+    const uint64_t after = g_alloc_bytes.load(std::memory_order_relaxed);
+    const uint64_t charged = TerrainRenderWorkingBytes(
+        super.NumNodes(), resolution, resolution, 960, 720);
+    EXPECT_LE(after - before, charged) << "raster " << resolution;
+  }
 }
 
 }  // namespace
