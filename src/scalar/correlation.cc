@@ -6,10 +6,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 
+#include "graph/intersect_simd.h"
+#include "scalar/tree_core.h"
 #include "scalar/tree_queries.h"
 
 namespace graphscape {
@@ -89,26 +90,6 @@ struct ClosedNeighborhood {
   }
 };
 
-// Average-rank transform (ties share the mean of their rank run).
-std::vector<double> AverageRanks(const std::vector<double>& values) {
-  const uint32_t n = static_cast<uint32_t>(values.size());
-  std::vector<uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&values](uint32_t a, uint32_t b) {
-    return values[a] < values[b];
-  });
-  std::vector<double> ranks(n);
-  uint32_t i = 0;
-  while (i < n) {
-    uint32_t j = i;
-    while (j + 1 < n && values[order[j + 1]] == values[order[i]]) ++j;
-    const double avg = 0.5 * (i + j);
-    for (uint32_t k = i; k <= j; ++k) ranks[order[k]] = avg;
-    i = j + 1;
-  }
-  return ranks;
-}
-
 }  // namespace
 
 double PearsonCorrelation(const std::vector<double>& a,
@@ -116,6 +97,25 @@ double PearsonCorrelation(const std::vector<double>& a,
   assert(a.size() == b.size());
   return PearsonOver(Iota{static_cast<uint32_t>(a.size())},
                      static_cast<uint32_t>(a.size()), a, b);
+}
+
+std::vector<double> AverageRanks(const std::vector<double>& values) {
+  // The trees' linear-time sweep sort orders values descending with
+  // equal values (-0.0 and +0.0 included) adjacent, so position p holds
+  // ascending rank n-1-p and every tie run is one contiguous stretch.
+  const uint32_t n = static_cast<uint32_t>(values.size());
+  std::vector<uint32_t> order;
+  tree_core::SortSweepOrder(values, &order, nullptr);
+  std::vector<double> ranks(n);
+  uint32_t i = 0;
+  while (i < n) {
+    uint32_t j = i;
+    while (j + 1 < n && values[order[j + 1]] == values[order[i]]) ++j;
+    const double avg = 0.5 * ((n - 1 - j) + (n - 1 - i));
+    for (uint32_t k = i; k <= j; ++k) ranks[order[k]] = avg;
+    i = j + 1;
+  }
+  return ranks;
 }
 
 double SpearmanCorrelation(const std::vector<double>& a,
@@ -154,10 +154,31 @@ VertexScalarField OutlierScoreField(const Graph& g,
                            std::move(values));
 }
 
+std::vector<uint32_t> TopPeakMembers(const SuperTree& tree, uint32_t k) {
+  std::vector<uint32_t> members;
+  for (const Peak& peak : TopPeaks(tree, k)) {
+    const MemberRange range = tree.Members(peak.super_node);
+    members.insert(members.end(), range.begin(), range.end());
+  }
+  std::sort(members.begin(), members.end());
+  members.erase(std::unique(members.begin(), members.end()), members.end());
+  return members;
+}
+
+double SortedJaccard(const std::vector<uint32_t>& a,
+                     const std::vector<uint32_t>& b) {
+  const uint32_t na = static_cast<uint32_t>(a.size());
+  const uint32_t nb = static_cast<uint32_t>(b.size());
+  const uint32_t both = intersect::Count(a.data(), na, b.data(), nb);
+  const uint32_t either = na + nb - both;
+  if (either == 0) return 1.0;
+  return static_cast<double>(both) / either;
+}
+
 double TopPeakJaccard(const SuperTree& a, const SuperTree& b, uint32_t k) {
   // Checked in every build type: the two trees come from independent
-  // builds, and mixing element spaces (|V| vs |E|) would index the
-  // masks out of bounds, not merely return a wrong number.
+  // builds, and mixing element spaces (|V| vs |E|) would compare ids
+  // that name different things, not merely return a wrong number.
   if (a.NumElements() != b.NumElements()) {
     throw std::invalid_argument(
         "TopPeakJaccard: trees contract different element spaces (" +
@@ -165,21 +186,7 @@ double TopPeakJaccard(const SuperTree& a, const SuperTree& b, uint32_t k) {
         std::to_string(b.NumElements()) +
         "); lift edge fields to vertices first");
   }
-  const uint32_t m = a.NumElements();
-  std::vector<char> in_a(m, 0), in_b(m, 0);
-  for (const Peak& peak : TopPeaks(a, k)) {
-    for (const uint32_t e : a.Members(peak.super_node)) in_a[e] = 1;
-  }
-  for (const Peak& peak : TopPeaks(b, k)) {
-    for (const uint32_t e : b.Members(peak.super_node)) in_b[e] = 1;
-  }
-  uint32_t both = 0, either = 0;
-  for (uint32_t e = 0; e < m; ++e) {
-    both += static_cast<uint32_t>(in_a[e] && in_b[e]);
-    either += static_cast<uint32_t>(in_a[e] || in_b[e]);
-  }
-  if (either == 0) return 1.0;
-  return static_cast<double>(both) / either;
+  return SortedJaccard(TopPeakMembers(a, k), TopPeakMembers(b, k));
 }
 
 VertexScalarField LiftEdgeFieldToVertices(const Graph& g,

@@ -40,7 +40,14 @@ namespace graphscape {
 double PearsonCorrelation(const std::vector<double>& a,
                           const std::vector<double>& b);
 
-/// Spearman rank correlation (average ranks on ties), same conventions.
+/// Average-rank transform: ranks[i] is the 0-based rank of values[i] in
+/// ascending order, ties sharing the mean rank of their run (so -0.0 and
+/// +0.0 tie). Linear time (the scalar trees' radix sort); values must be
+/// finite. The query service computes it once per loaded field.
+std::vector<double> AverageRanks(const std::vector<double>& values);
+
+/// Spearman rank correlation (average ranks on ties), same conventions:
+/// PearsonCorrelation(AverageRanks(a), AverageRanks(b)).
 double SpearmanCorrelation(const std::vector<double>& a,
                            const std::vector<double>& b);
 
@@ -60,13 +67,20 @@ VertexScalarField OutlierScoreField(const Graph& g,
                                     const VertexScalarField& a,
                                     const VertexScalarField& b);
 
-/// Jaccard overlap |A ∩ B| / |A ∪ B| of the element sets claimed by the
-/// two trees' TopPeaks(k) (scalar/tree_queries.h). Both trees must
+/// The element ids claimed by the super nodes of `tree`'s TopPeaks(k)
+/// (scalar/tree_queries.h), ascending and duplicate-free.
+std::vector<uint32_t> TopPeakMembers(const SuperTree& tree, uint32_t k);
+
+/// Jaccard overlap |A ∩ B| / |A ∪ B| of two ascending, duplicate-free id
+/// lists (TopPeakMembers' output); 1.0 when both are empty.
+double SortedJaccard(const std::vector<uint32_t>& a,
+                     const std::vector<uint32_t>& b);
+
+/// SortedJaccard of the two trees' TopPeakMembers(k). Both trees must
 /// contract the same element space (same NumElements()) — comparing a
 /// vertex tree against an edge tree requires LiftEdgeFieldToVertices
 /// first, and a mismatch throws std::invalid_argument in every build
-/// type (element ids would index the wrong space). 1.0 when both unions
-/// are empty.
+/// type (the ids would name elements of different spaces).
 double TopPeakJaccard(const SuperTree& a, const SuperTree& b, uint32_t k);
 
 /// Lifts an edge field to vertices by taking each vertex's maximum

@@ -200,7 +200,10 @@ void ServiceServer::ServeConnection(int fd) {
                        "request line exceeds %u bytes", kMaxRequestLine))));
       return;
     }
-    if (!WriteAll(fd, service_->HandleLine(line))) return;
+    // The reply may be a frame the service keeps resident (TREE, warm
+    // TILE): the shared_ptr keeps it alive for the write, uncopied.
+    const std::shared_ptr<const std::string> reply = service_->Respond(line);
+    if (!WriteAll(fd, *reply)) return;
   }
 }
 

@@ -4,7 +4,7 @@
 // ServiceServer: the transport under the Graphscape daemon — one accept
 // thread, a pool of worker threads, and nothing else. Each accepted
 // connection is handed to one worker, which reads request lines and
-// writes back whatever QueryService::HandleLine returns until the peer
+// writes back whatever QueryService::Respond returns until the peer
 // closes (the protocol is strictly request/response per connection, no
 // pipelining — docs/SERVICE.md §Transport).
 //

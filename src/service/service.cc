@@ -3,6 +3,8 @@
 
 #include "service/service.h"
 
+#include <atomic>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -17,6 +19,27 @@
 namespace graphscape {
 namespace service {
 namespace {
+
+// CORRELATION's top-peak Jaccard compares the top 10 peaks: the
+// paper-table convention (REPRODUCTION.md), enough peaks to cover the
+// dominant structures, few enough to stay local.
+constexpr uint32_t kCorrelationPeaks = 10;
+
+void Bump(std::atomic<uint64_t>* counter) {
+  counter->fetch_add(1, std::memory_order_relaxed);
+}
+
+uint64_t Read(const std::atomic<uint64_t>& counter) {
+  return counter.load(std::memory_order_relaxed);
+}
+
+// Frames a freshly built OK payload.
+StatusOr<std::shared_ptr<const std::string>> OkFrame(
+    const StatusOr<std::string>& payload) {
+  if (!payload.ok()) return payload.status();
+  return std::make_shared<const std::string>(
+      EncodeResponseFrame(kWireOk, payload.value()));
+}
 
 // Shared by PEAKS and TOPPEAKS: "peaks <count>" then one
 // "<super_node> <member_count> <max_scalar>" row per peak, %.17g so the
@@ -42,47 +65,37 @@ StatusOr<std::unique_ptr<QueryService>> QueryService::Open(
       new QueryService(std::move(cache).value(), options));
 }
 
-std::string QueryService::HandleLine(const std::string& line) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.requests;
-  }
-  Status status = Status::Ok();
+std::shared_ptr<const std::string> QueryService::Respond(
+    const std::string& line) {
+  Bump(&counters_.requests);
   StatusOr<Request> parsed = ParseRequestLine(line);
-  if (parsed.ok()) {
-    StatusOr<std::string> payload = Dispatch(parsed.value());
-    if (payload.ok()) {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.ok;
-      return EncodeResponseFrame(kWireOk, payload.value());
-    }
-    status = payload.status();
-  } else {
-    status = parsed.status();
+  StatusOr<Frame> frame =
+      parsed.ok() ? Dispatch(parsed.value()) : parsed.status();
+  if (frame.ok()) {
+    Bump(&counters_.ok);
+    return std::move(frame).value();
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.errors;
-  }
-  return EncodeErrorFrame(status);
+  Bump(&counters_.errors);
+  return std::make_shared<const std::string>(
+      EncodeErrorFrame(frame.status()));
 }
 
-StatusOr<std::string> QueryService::Dispatch(const Request& request) {
+StatusOr<QueryService::Frame> QueryService::Dispatch(const Request& request) {
   switch (request.verb) {
     case Verb::kTree:
       return HandleTree(request);
     case Verb::kPeaks:
-      return HandlePeaks(request);
+      return OkFrame(HandlePeaks(request));
     case Verb::kTopPeaks:
-      return HandleTopPeaks(request);
+      return OkFrame(HandleTopPeaks(request));
     case Verb::kMembers:
-      return HandleMembers(request);
+      return OkFrame(HandleMembers(request));
     case Verb::kCorrelation:
-      return HandleCorrelation(request);
+      return OkFrame(HandleCorrelation(request));
     case Verb::kTile:
       return HandleTile(request);
     case Verb::kStats:
-      return HandleStats();
+      return OkFrame(HandleStats());
   }
   return Status::InvalidArgument("unreachable: unknown verb after parse");
 }
@@ -101,25 +114,27 @@ QueryService::GetArtifact(const std::string& dataset,
   loaded->artifact = std::move(got).value();
   StatusOr<std::string> bytes = SerializeTreeArtifact(loaded->artifact);
   if (!bytes.ok()) return bytes.status();
-  loaded->serialized = std::move(bytes).value();
+  loaded->tree_frame = std::make_shared<const std::string>(
+      EncodeResponseFrame(kWireOk, bytes.value()));
   // Prime the lazy member index while we hold load_mu_: its first build
   // is not thread-safe, and after this the artifact is immutable and
   // safe to share across every worker thread (scalar/super_tree.h).
   loaded->artifact.tree.MemberIndex();
+  loaded->ranks = AverageRanks(loaded->artifact.field_values);
+  loaded->top_peak_members =
+      TopPeakMembers(loaded->artifact.tree, kCorrelationPeaks);
 
   loaded_[canonical] = loaded;
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.artifacts_loaded;
-  }
+  Bump(&counters_.artifacts_loaded);
   return std::shared_ptr<const LoadedArtifact>(loaded);
 }
 
-StatusOr<std::string> QueryService::HandleTree(const Request& request) {
+StatusOr<QueryService::Frame> QueryService::HandleTree(
+    const Request& request) {
   StatusOr<std::shared_ptr<const LoadedArtifact>> loaded =
       GetArtifact(request.dataset, request.field);
   if (!loaded.ok()) return loaded.status();
-  return loaded.value()->serialized;
+  return loaded.value()->tree_frame;
 }
 
 StatusOr<std::string> QueryService::HandlePeaks(const Request& request) {
@@ -162,8 +177,10 @@ StatusOr<std::string> QueryService::HandleCorrelation(
   StatusOr<std::shared_ptr<const LoadedArtifact>> b =
       GetArtifact(request.dataset, request.field_b);
   if (!b.ok()) return b.status();
-  const TreeArtifact& fa = a.value()->artifact;
-  const TreeArtifact& fb = b.value()->artifact;
+  const LoadedArtifact& la = *a.value();
+  const LoadedArtifact& lb = *b.value();
+  const TreeArtifact& fa = la.artifact;
+  const TreeArtifact& fb = lb.artifact;
   if (fa.field_values.size() != fb.field_values.size()) {
     return Status::InvalidArgument(StrPrintf(
         "CORRELATION fields span different element spaces (%u vs %u "
@@ -172,16 +189,25 @@ StatusOr<std::string> QueryService::HandleCorrelation(
         static_cast<unsigned>(fa.field_values.size()),
         static_cast<unsigned>(fb.field_values.size())));
   }
-  // k=10 matches the paper-table convention (REPRODUCTION.md): enough
-  // peaks to cover the dominant structures, few enough to stay local.
-  const double jaccard = TopPeakJaccard(fa.tree, fb.tree, 10);
-  return StrPrintf("pearson %.17g\nspearman %.17g\ntop_peak_jaccard10 %.17g\n",
-                   PearsonCorrelation(fa.field_values, fb.field_values),
-                   SpearmanCorrelation(fa.field_values, fb.field_values),
-                   jaccard);
+  // Artifacts stored without field values pass the check above, so the
+  // trees' element spaces are compared too (TopPeakJaccard's rule).
+  if (fa.tree.NumElements() != fb.tree.NumElements()) {
+    return Status::InvalidArgument(StrPrintf(
+        "CORRELATION trees contract different element spaces (%u vs %u "
+        "elements)",
+        fa.tree.NumElements(), fb.tree.NumElements()));
+  }
+  // The library's SpearmanCorrelation and TopPeakJaccard, over the ranks
+  // and member lists built at load.
+  return StrPrintf(
+      "pearson %.17g\nspearman %.17g\ntop_peak_jaccard10 %.17g\n",
+      PearsonCorrelation(fa.field_values, fb.field_values),
+      PearsonCorrelation(la.ranks, lb.ranks),
+      SortedJaccard(la.top_peak_members, lb.top_peak_members));
 }
 
-StatusOr<std::string> QueryService::HandleTile(const Request& request) {
+StatusOr<QueryService::Frame> QueryService::HandleTile(
+    const Request& request) {
   if (request.width == 0 || request.height == 0 ||
       request.width > options_.max_tile_dim ||
       request.height > options_.max_tile_dim) {
@@ -201,8 +227,7 @@ StatusOr<std::string> QueryService::HandleTile(const Request& request) {
   key.width = request.width;
   key.height = request.height;
   const std::string canonical = key.Canonical();
-  std::string tile;
-  if (tiles_.Get(canonical, &tile)) return tile;
+  if (Frame hit = tiles_.Get(canonical)) return hit;
 
   // The render seam: arming service/render=always turns every cold tile
   // into a clean UNAVAILABLE frame — the CI service-smoke job proves
@@ -229,21 +254,15 @@ StatusOr<std::string> QueryService::HandleTile(const Request& request) {
       loaded.value()->artifact.tree, &budget, render_options);
   if (!rendered.ok()) return rendered.status();
 
-  std::string ppm = EncodePpm(rendered.value().image);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.tiles_rendered;
-  }
-  tiles_.Put(canonical, ppm);
-  return ppm;
+  const Frame frame = std::make_shared<const std::string>(
+      EncodeResponseFrame(kWireOk, EncodePpm(rendered.value().image)));
+  Bump(&counters_.tiles_rendered);
+  tiles_.Put(canonical, frame);
+  return frame;
 }
 
 StatusOr<std::string> QueryService::HandleStats() {
-  ServiceStats snapshot;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    snapshot = stats_;
-  }
+  const ServiceStats snapshot = stats();
   const TileCacheStats tile = tiles_.stats();
   std::vector<std::string> keys;
   {
@@ -279,8 +298,13 @@ StatusOr<std::string> QueryService::HandleStats() {
 }
 
 ServiceStats QueryService::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
+  ServiceStats snapshot;
+  snapshot.requests = Read(counters_.requests);
+  snapshot.ok = Read(counters_.ok);
+  snapshot.errors = Read(counters_.errors);
+  snapshot.artifacts_loaded = Read(counters_.artifacts_loaded);
+  snapshot.tiles_rendered = Read(counters_.tiles_rendered);
+  return snapshot;
 }
 
 }  // namespace service

@@ -5,26 +5,36 @@
 // the server does between "one request line arrived" and "one response
 // frame to write back", with no sockets anywhere in sight. The split
 // keeps the whole query surface testable in-process (service_test.cc
-// drives HandleLine directly) and keeps server.cc down to transport.
+// drives Respond and HandleLine directly) and keeps server.cc down to
+// transport.
 //
 // Data model: an ArtifactCache root (the same directory cache_fsck and
 // the figure benches populate) is the corpus. Artifacts load lazily on
 // first touch and stay resident for the process lifetime keyed by
-// "dataset/field"; each loaded artifact keeps BOTH the deserialized
-// SuperTree (for queries) and the exact serialized bytes (so TREE
-// responses are byte-identical to SerializeTreeArtifact, which the
-// integration test cmp's).
+// "dataset/field". Every reply is a pure function of that immutable
+// state, so the per-artifact work is done once, at load: each loaded
+// artifact keeps the deserialized SuperTree (for queries), its TREE
+// reply as a finished OK frame (byte-identical to framing
+// SerializeTreeArtifact, which the integration test cmp's), and
+// CORRELATION's inputs — the field's average ranks and the sorted
+// members of its top-10 peaks. Rendered tiles are cached as finished
+// frames too, so TREE and warm TILE replies are shared buffers that
+// the server writes without copying.
 //
 // Concurrency contract (docs/SERVICE.md §Concurrency):
 //
 //   * ArtifactCache is NOT thread-safe (scalar/artifact_cache.h), so
 //     every cache touch happens under load_mu_.
 //   * SuperTree::MemberIndex() is lazily built and unsynchronized, so it
-//     is primed under load_mu_ at load time; after that the artifact is
-//     immutable and shared across worker threads by shared_ptr.
+//     is primed under load_mu_ at load time, together with the TREE
+//     frame, the ranks and the top-peak members; after that the
+//     artifact is immutable and shared across worker threads by
+//     shared_ptr.
 //   * The tile LRU is internally synchronized; renders run OUTSIDE all
 //     locks (they are the slow part — serializing them would make the
 //     thread pool pointless).
+//   * The ServiceStats counters are relaxed atomics: each is a tally
+//     that orders nothing, so STATS reads each one without a lock.
 //
 // Every handler returns StatusOr and every Status maps onto a wire code
 // (service/wire.h), so a client can always tell "you asked wrong"
@@ -35,11 +45,13 @@
 #ifndef GRAPHSCAPE_SERVICE_SERVICE_H_
 #define GRAPHSCAPE_SERVICE_SERVICE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/status.h"
 #include "scalar/artifact_cache.h"
@@ -85,20 +97,41 @@ class QueryService {
   }
 
   /// The whole request pipeline: parse one line, dispatch the verb,
-  /// frame the answer. Always returns a complete frame — errors become
-  /// error frames, never exceptions (the server writes the return value
-  /// verbatim). Safe to call from many threads concurrently.
-  std::string HandleLine(const std::string& line);
+  /// frame the answer. Always returns a complete, non-null frame —
+  /// errors become error frames, never exceptions (the server writes
+  /// the bytes verbatim). TREE and warm TILE replies are the resident
+  /// frames themselves, shared rather than copied; the bytes are never
+  /// mutated. Safe to call from many threads concurrently.
+  std::shared_ptr<const std::string> Respond(const std::string& line);
+
+  /// Respond's bytes, copied out.
+  std::string HandleLine(const std::string& line) { return *Respond(line); }
 
   ServiceStats stats() const;
   TileCacheStats tile_stats() const { return tiles_.stats(); }
   const Options& options() const { return options_; }
 
  private:
-  /// One resident artifact: the tree for queries, the bytes for TREE.
+  using Frame = std::shared_ptr<const std::string>;
+
+  /// One resident artifact and every reply input derived from it at load.
   struct LoadedArtifact {
     TreeArtifact artifact;
-    std::string serialized;
+    /// The TREE reply: the OK frame around SerializeTreeArtifact.
+    Frame tree_frame;
+    /// AverageRanks(artifact.field_values): CORRELATION's Spearman input.
+    std::vector<double> ranks;
+    /// TopPeakMembers(artifact.tree, kCorrelationPeaks).
+    std::vector<uint32_t> top_peak_members;
+  };
+
+  /// Cumulative counters behind ServiceStats.
+  struct Counters {
+    std::atomic<uint64_t> requests{0};
+    std::atomic<uint64_t> ok{0};
+    std::atomic<uint64_t> errors{0};
+    std::atomic<uint64_t> artifacts_loaded{0};
+    std::atomic<uint64_t> tiles_rendered{0};
   };
 
   QueryService(ArtifactCache cache, const Options& options)
@@ -106,18 +139,20 @@ class QueryService {
         cache_(std::move(cache)),
         tiles_(options.tile_cache_bytes) {}
 
-  /// Dispatch after a successful parse; the payload of the OK frame.
-  StatusOr<std::string> Dispatch(const Request& request);
+  /// Dispatch after a successful parse; the OK frame.
+  StatusOr<Frame> Dispatch(const Request& request);
 
   StatusOr<std::shared_ptr<const LoadedArtifact>> GetArtifact(
       const std::string& dataset, const std::string& field);
 
-  StatusOr<std::string> HandleTree(const Request& request);
+  // TREE and TILE answer with whole frames; the other verbs build a
+  // payload that Dispatch frames.
+  StatusOr<Frame> HandleTree(const Request& request);
   StatusOr<std::string> HandlePeaks(const Request& request);
   StatusOr<std::string> HandleTopPeaks(const Request& request);
   StatusOr<std::string> HandleMembers(const Request& request);
   StatusOr<std::string> HandleCorrelation(const Request& request);
-  StatusOr<std::string> HandleTile(const Request& request);
+  StatusOr<Frame> HandleTile(const Request& request);
   StatusOr<std::string> HandleStats();
 
   const Options options_;
@@ -129,10 +164,10 @@ class QueryService {
   std::unordered_map<std::string, std::shared_ptr<const LoadedArtifact>>
       loaded_;
 
+  /// Encoded TILE frames.
   TileLruCache tiles_;
 
-  mutable std::mutex stats_mu_;
-  ServiceStats stats_;
+  Counters counters_;
 };
 
 }  // namespace service

@@ -14,34 +14,35 @@ std::string TileKey::Canonical() const {
                    static_cast<unsigned>(height));
 }
 
-bool TileLruCache::Get(const std::string& canonical_key, std::string* out) {
+std::shared_ptr<const std::string> TileLruCache::Get(
+    const std::string& canonical_key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(canonical_key);
   if (it == index_.end()) {
     ++stats_.misses;
-    return false;
+    return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second);
   ++stats_.hits;
-  if (out != nullptr) *out = it->second->second;
-  return true;
+  return it->second->second;
 }
 
 void TileLruCache::Put(const std::string& canonical_key,
-                       std::string tile_bytes) {
+                       std::shared_ptr<const std::string> tile_bytes) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (tile_bytes.size() > max_bytes_) {
+  const uint64_t size = tile_bytes->size();
+  if (size > max_bytes_) {
     ++stats_.rejected_oversize;
     return;
   }
   auto it = index_.find(canonical_key);
   if (it != index_.end()) {
-    stats_.current_bytes -= it->second->second.size();
-    stats_.current_bytes += tile_bytes.size();
+    stats_.current_bytes -= it->second->second->size();
+    stats_.current_bytes += size;
     it->second->second = std::move(tile_bytes);
     lru_.splice(lru_.begin(), lru_, it->second);
   } else {
-    stats_.current_bytes += tile_bytes.size();
+    stats_.current_bytes += size;
     lru_.emplace_front(canonical_key, std::move(tile_bytes));
     index_[canonical_key] = lru_.begin();
     ++stats_.current_tiles;
@@ -53,7 +54,7 @@ void TileLruCache::Put(const std::string& canonical_key,
 void TileLruCache::EvictToFitLocked() {
   while (stats_.current_bytes > max_bytes_ && !lru_.empty()) {
     const Entry& victim = lru_.back();
-    stats_.current_bytes -= victim.second.size();
+    stats_.current_bytes -= victim.second->size();
     --stats_.current_tiles;
     ++stats_.evictions;
     index_.erase(victim.first);

@@ -7,33 +7,40 @@
 // render); the same few camera presets over the same few popular
 // datasets dominate real traffic, so a small byte budget buys a large
 // hit rate (the zipf-driven load generator demonstrates this —
-// docs/OPERATIONS.md shows the readout).
+// docs/OPERATIONS.md shows the readout). The service stores each tile
+// as its complete, encoded OK response frame, so a hit is a pointer
+// hand-off: no copy, no re-framing, no re-checksum.
 //
 // Semantics (pinned by tests/tile_cache_test.cc):
 //
 //   * Get bumps the entry to most-recently-used; Put inserts (or
 //     replaces) at MRU and then evicts from the LRU end until the byte
 //     ledger fits the budget again.
-//   * The ledger counts payload bytes only (the PPM string), not map
-//     overhead — the same accounting convention as ResourceBudget
-//     charges, so an operator can reason in output sizes.
+//   * The ledger counts the stored bytes only (for the service, the
+//     frame: PPM payload + kResponseOverheadBytes), not map overhead —
+//     the same accounting convention as ResourceBudget charges, so an
+//     operator can reason in output sizes.
 //   * A tile larger than the whole budget is NOT stored (and evicts
 //     nothing): callers still get their render, the cache just refuses
 //     to thrash itself for it.
 //
 // Thread safety: all public methods are internally synchronized by one
-// mutex — tiles are small and the critical sections are map operations,
-// so one lock beats sharding at this scale. Rendering MUST happen
-// outside the cache (Get-miss, render, Put), which means two racing
-// requests for the same cold tile may both render it; both Puts are
-// idempotent (same key, same deterministic bytes), so the only cost is
-// the duplicated render — accepted, documented in docs/SERVICE.md.
+// mutex — the critical sections are map operations and a shared_ptr
+// copy, so one lock beats sharding at this scale. Stored bytes are
+// immutable: a Get hands out shared ownership, so an entry evicted
+// while a worker is still writing it to a socket stays alive until that
+// write is done. Rendering MUST happen outside the cache (Get-miss,
+// render, Put), which means two racing requests for the same cold tile
+// may both render it; both Puts are idempotent (same key, same
+// deterministic bytes), so the only cost is the duplicated render —
+// accepted, documented in docs/SERVICE.md.
 
 #ifndef GRAPHSCAPE_SERVICE_TILE_CACHE_H_
 #define GRAPHSCAPE_SERVICE_TILE_CACHE_H_
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -77,12 +84,13 @@ class TileLruCache {
   TileLruCache(const TileLruCache&) = delete;
   TileLruCache& operator=(const TileLruCache&) = delete;
 
-  /// Copies the tile into *out and bumps it to MRU. False on miss.
-  bool Get(const std::string& canonical_key, std::string* out);
+  /// The stored bytes, bumped to MRU; null on a miss.
+  std::shared_ptr<const std::string> Get(const std::string& canonical_key);
 
   /// Insert-or-replace at MRU, then evict LRU entries until the ledger
   /// fits max_bytes. Oversize tiles are counted and dropped.
-  void Put(const std::string& canonical_key, std::string tile_bytes);
+  void Put(const std::string& canonical_key,
+           std::shared_ptr<const std::string> tile_bytes);
 
   /// Keys from most- to least-recently used (tests pin eviction order).
   std::vector<std::string> KeysMruToLru() const;
@@ -91,7 +99,8 @@ class TileLruCache {
   uint64_t max_bytes() const { return max_bytes_; }
 
  private:
-  using Entry = std::pair<std::string, std::string>;  // key, tile bytes
+  // key, encoded tile bytes
+  using Entry = std::pair<std::string, std::shared_ptr<const std::string>>;
 
   void EvictToFitLocked();
 

@@ -3,7 +3,8 @@
 //
 // Field-vs-field comparison: Pearson/Spearman against hand-computed
 // values (including tie handling), the LCI/GCI neighborhood conventions,
-// the outlier field's sign contract, top-peak Jaccard overlap, and the
+// the outlier field's sign contract, the average-rank transform, top-peak
+// Jaccard overlap against a per-element mask oracle, and the
 // edge-to-vertex lift that gives KC-vs-KT pairs a shared support.
 
 #include "scalar/correlation.h"
@@ -18,6 +19,7 @@
 #include "graph/graph_builder.h"
 #include "metrics/kcore.h"
 #include "scalar/scalar_tree.h"
+#include "scalar/tree_queries.h"
 
 namespace graphscape {
 namespace {
@@ -157,6 +159,91 @@ TEST(CorrelationTest, TopPeakJaccardBoundsAndIdentity) {
   const SuperTree edge_tree(
       BuildEdgeScalarTree(g, EdgeScalarField("e", edge_values)));
   EXPECT_THROW(TopPeakJaccard(tree, edge_tree, 3), std::invalid_argument);
+}
+
+TEST(CorrelationTest, AverageRanksShareTieRunsAndTieSignedZeros) {
+  // Ascending: {-0.0, +0.0} tie at ranks 0-1, then 1 at 2, then the two
+  // 3s tie at ranks 3-4.
+  EXPECT_EQ(AverageRanks({3.0, -0.0, 0.0, 3.0, 1.0}),
+            (std::vector<double>{3.5, 0.5, 0.5, 3.5, 2.0}));
+  EXPECT_TRUE(AverageRanks({}).empty());
+  EXPECT_EQ(AverageRanks({-0.0, -0.0}), (std::vector<double>{0.5, 0.5}));
+}
+
+// Against the definition: rank(i) = #{j : v_j < v_i} plus half the other
+// members of v_i's tie run, on negative, fractional, signed-zero and
+// heavily tied values.
+TEST(CorrelationTest, AverageRanksMatchTheCountingDefinition) {
+  Rng rng(5);
+  for (const uint32_t distinct : {1u, 4u, 64u, 5000u}) {
+    std::vector<double> values(700);
+    for (double& v : values) {
+      const uint32_t draw = rng.UniformInt(distinct);
+      v = draw == 0 ? (rng.UniformInt(2) == 0 ? 0.0 : -0.0)
+                    : (static_cast<double>(draw) - distinct / 2.0) / 8.0;
+    }
+    const std::vector<double> ranks = AverageRanks(values);
+    ASSERT_EQ(ranks.size(), values.size());
+    for (size_t i = 0; i < values.size(); ++i) {
+      uint32_t less = 0, equal = 0;
+      for (const double w : values) {
+        less += static_cast<uint32_t>(w < values[i]);
+        equal += static_cast<uint32_t>(w == values[i]);
+      }
+      EXPECT_EQ(ranks[i], 0.5 * (2.0 * less + equal - 1.0))
+          << "distinct=" << distinct << " i=" << i;
+    }
+  }
+}
+
+TEST(CorrelationTest, SortedJaccardCountsOverlapOfSortedLists) {
+  EXPECT_DOUBLE_EQ(SortedJaccard({1, 3, 5}, {3, 4, 5, 6}), 2.0 / 5.0);
+  EXPECT_DOUBLE_EQ(SortedJaccard({}, {}), 1.0);
+  EXPECT_DOUBLE_EQ(SortedJaccard({}, {7}), 0.0);
+  EXPECT_DOUBLE_EQ(SortedJaccard({2, 9}, {2, 9}), 1.0);
+}
+
+// TopPeakJaccard against the definition: mark each tree's top-k peak
+// members in a per-element mask and count |A ∩ B| and |A ∪ B|.
+TEST(CorrelationTest, TopPeakJaccardMatchesMemberMaskOracle) {
+  Rng rng(11);
+  const Graph g = BarabasiAlbert(400, 3, &rng);
+  const uint32_t n = g.NumVertices();
+  std::vector<SuperTree> trees;
+  for (uint32_t levels : {3u, 8u, 50u}) {
+    std::vector<double> values(n);
+    for (double& v : values) v = static_cast<double>(rng.UniformInt(levels));
+    trees.emplace_back(
+        BuildVertexScalarTree(g, VertexScalarField("f", std::move(values))));
+  }
+  for (const uint32_t k : {1u, 3u, 10u}) {
+    std::vector<std::vector<char>> masks;
+    for (const SuperTree& tree : trees) {
+      std::vector<char> mask(n, 0);
+      std::vector<uint32_t> expected;
+      for (const Peak& peak : TopPeaks(tree, k)) {
+        for (const uint32_t e : tree.Members(peak.super_node)) mask[e] = 1;
+      }
+      for (uint32_t e = 0; e < n; ++e) {
+        if (mask[e]) expected.push_back(e);
+      }
+      EXPECT_EQ(TopPeakMembers(tree, k), expected);
+      masks.push_back(std::move(mask));
+    }
+    for (size_t a = 0; a < trees.size(); ++a) {
+      for (size_t b = 0; b < trees.size(); ++b) {
+        uint32_t both = 0, either = 0;
+        for (uint32_t e = 0; e < n; ++e) {
+          both += static_cast<uint32_t>(masks[a][e] && masks[b][e]);
+          either += static_cast<uint32_t>(masks[a][e] || masks[b][e]);
+        }
+        const double expected =
+            either == 0 ? 1.0 : static_cast<double>(both) / either;
+        EXPECT_EQ(TopPeakJaccard(trees[a], trees[b], k), expected)
+            << "k=" << k << " pair " << a << "," << b;
+      }
+    }
+  }
 }
 
 TEST(CorrelationTest, LiftEdgeFieldTakesMaxIncidentValue) {

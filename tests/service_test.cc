@@ -3,9 +3,12 @@
 //
 // QueryService + ServiceServer, both layers:
 //
-//   * HandleLine directly (no sockets) — every verb's payload against
-//     the library call it wraps, with TREE byte-compared against
-//     SerializeTreeArtifact, plus the full error taxonomy.
+//   * Respond and HandleLine directly (no sockets) — every verb's payload
+//     against the library call it wraps, with TREE byte-compared against
+//     SerializeTreeArtifact and CORRELATION against the library's three
+//     correlations, the full error taxonomy, the shared (uncopied) TREE
+//     and warm TILE frames, and eight threads against a single-threaded
+//     reference.
 //   * The loopback integration — a real daemon on an ephemeral port,
 //     real BlockingClients, concurrent traffic, oversized-line hangup,
 //     and both service/* failpoint seams observed from the client side.
@@ -19,6 +22,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -28,6 +32,7 @@
 #include "gen/generators.h"
 #include "metrics/kcore.h"
 #include "scalar/artifact_cache.h"
+#include "scalar/correlation.h"
 #include "scalar/scalar_tree.h"
 #include "scalar/tree_io.h"
 #include "scalar/tree_queries.h"
@@ -55,8 +60,10 @@ std::string FreshRoot(const std::string& name) {
   return root;
 }
 
-// One dataset ("ba-test") with a KC and a DEG field — two fields over
-// the same element space, so CORRELATION has a legal pair.
+// One dataset ("ba-test") with KC, DEG and TIES fields over the same
+// element space, so CORRELATION has legal pairs. TIES has four distinct
+// values, one of them zero stored as both -0.0 and +0.0: the tie runs
+// the average ranks and the peak plateaus must agree on.
 TreeArtifact BuildArtifact(const Graph& g, const VertexScalarField& field) {
   TreeArtifact artifact;
   artifact.tree = SuperTree(BuildVertexScalarTree(g, field));
@@ -76,11 +83,20 @@ class ServiceTest : public ::testing::Test {
     for (uint32_t v = 0; v < g.NumVertices(); ++v) degrees[v] = g.Degree(v);
     kc_ = BuildArtifact(g, VertexScalarField::FromCounts("KC", CoreNumbers(g)));
     deg_ = BuildArtifact(g, VertexScalarField::FromCounts("DEG", degrees));
+    std::vector<double> ties(g.NumVertices());
+    for (uint32_t v = 0; v < g.NumVertices(); ++v) {
+      const uint32_t bucket = degrees[v] % 4;
+      ties[v] = bucket != 0 ? static_cast<double>(bucket)
+                            : (v % 2 == 0 ? 0.0 : -0.0);
+    }
+    ties_ = BuildArtifact(g, VertexScalarField("TIES", std::move(ties)));
 
     StatusOr<ArtifactCache> cache = ArtifactCache::Open(root_);
     ASSERT_TRUE(cache.ok()) << cache.status().ToString();
     ASSERT_TRUE(cache.value().Put(ArtifactKey{"ba-test", "KC"}, kc_).ok());
     ASSERT_TRUE(cache.value().Put(ArtifactKey{"ba-test", "DEG"}, deg_).ok());
+    ASSERT_TRUE(
+        cache.value().Put(ArtifactKey{"ba-test", "TIES"}, ties_).ok());
 
     StatusOr<std::unique_ptr<QueryService>> opened = QueryService::Open(root_);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -98,6 +114,7 @@ class ServiceTest : public ::testing::Test {
   std::string root_;
   TreeArtifact kc_;
   TreeArtifact deg_;
+  TreeArtifact ties_;
   std::unique_ptr<QueryService> service_;
 };
 
@@ -174,6 +191,143 @@ TEST_F(ServiceTest, CorrelationAcrossFieldsProducesAllThreeRows) {
   for (const char* row : {"pearson ", "spearman ", "top_peak_jaccard10 "}) {
     EXPECT_NE(frame.payload.find(row), std::string::npos) << row;
   }
+}
+
+// The ranks and peak members CORRELATION reads are built at load; the
+// payload must still be byte-equal to the library computing all three
+// correlations from scratch, on every ordered field pair.
+TEST_F(ServiceTest, CorrelationPayloadEqualsTheLibraryOnEveryPair) {
+  const std::vector<std::pair<std::string, const TreeArtifact*>> fields = {
+      {"KC", &kc_}, {"DEG", &deg_}, {"TIES", &ties_}};
+  for (const auto& [name_a, a] : fields) {
+    for (const auto& [name_b, b] : fields) {
+      const ResponseFrame frame =
+          Answer("CORRELATION ba-test " + name_a + " " + name_b);
+      ASSERT_EQ(frame.wire_code, kWireOk) << frame.payload;
+      EXPECT_EQ(
+          frame.payload,
+          StrPrintf(
+              "pearson %.17g\nspearman %.17g\ntop_peak_jaccard10 %.17g\n",
+              PearsonCorrelation(a->field_values, b->field_values),
+              SpearmanCorrelation(a->field_values, b->field_values),
+              TopPeakJaccard(a->tree, b->tree, 10)))
+          << name_a << " vs " << name_b;
+    }
+  }
+}
+
+// Artifacts may be stored without field values. Two such artifacts over
+// element spaces of different sizes must be refused, not compared.
+TEST_F(ServiceTest, CorrelationRefusesFieldlessTreesOfDifferentSpaces) {
+  Rng rng(3);
+  const Graph small = BarabasiAlbert(40, 2, &rng);
+  const Graph big = BarabasiAlbert(60, 2, &rng);
+  TreeArtifact a = BuildArtifact(
+      small, VertexScalarField::FromCounts("A", CoreNumbers(small)));
+  TreeArtifact b =
+      BuildArtifact(big, VertexScalarField::FromCounts("B", CoreNumbers(big)));
+  a.field_values.clear();
+  b.field_values.clear();
+  StatusOr<ArtifactCache> cache = ArtifactCache::Open(root_);
+  ASSERT_TRUE(cache.ok());
+  ASSERT_TRUE(cache.value().Put(ArtifactKey{"mixed", "A"}, a).ok());
+  ASSERT_TRUE(cache.value().Put(ArtifactKey{"mixed", "B"}, b).ok());
+  StatusOr<std::unique_ptr<QueryService>> reopened = QueryService::Open(root_);
+  ASSERT_TRUE(reopened.ok());
+  service_ = std::move(reopened).value();
+
+  const ResponseFrame frame = Answer("CORRELATION mixed A B");
+  EXPECT_EQ(frame.wire_code, kWireInvalidArgument);
+  EXPECT_NE(frame.payload.find("different element spaces"),
+            std::string::npos)
+      << frame.payload;
+}
+
+TEST_F(ServiceTest, TreeFrameIsTheEncodedSerializedArtifact) {
+  const std::vector<std::pair<std::string, const TreeArtifact*>> fields = {
+      {"KC", &kc_}, {"TIES", &ties_}};
+  for (const auto& [name, artifact] : fields) {
+    StatusOr<std::string> serialized = SerializeTreeArtifact(*artifact);
+    ASSERT_TRUE(serialized.ok());
+    EXPECT_EQ(*service_->Respond("TREE ba-test " + name),
+              EncodeResponseFrame(kWireOk, serialized.value()))
+        << name;
+  }
+}
+
+// TREE and warm TILE replies are resident frames: repeated requests hand
+// out the same buffer rather than a copy of it.
+TEST_F(ServiceTest, TreeAndWarmTileRepliesShareOneBuffer) {
+  const std::shared_ptr<const std::string> tree =
+      service_->Respond("TREE ba-test KC");
+  EXPECT_EQ(service_->Respond("TREE ba-test KC").get(), tree.get());
+
+  const std::string tile = "TILE ba-test DEG 225 42 96 64";
+  const std::shared_ptr<const std::string> cold = service_->Respond(tile);
+  const std::shared_ptr<const std::string> warm = service_->Respond(tile);
+  EXPECT_EQ(*warm, *cold);
+  EXPECT_EQ(service_->Respond(tile).get(), warm.get());
+  EXPECT_EQ(service_->stats().tiles_rendered, 1u);
+  // The LRU's ledger counts whole frames: payload plus framing.
+  StatusOr<ResponseFrame> decoded = DecodeResponseFrame(*warm);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(service_->tile_stats().current_bytes,
+            decoded.value().payload.size() + kResponseOverheadBytes);
+}
+
+// Eight threads on one service, over a mixed stream where every tile
+// starts cold: every reply decodes and equals what a second service,
+// driven from one thread, answers to the same line.
+TEST_F(ServiceTest, ConcurrentRespondMatchesASingleThreadedReference) {
+  const std::vector<std::string> lines = {
+      "TREE ba-test KC",
+      "TREE ba-test TIES",
+      "CORRELATION ba-test KC DEG",
+      "CORRELATION ba-test DEG TIES",
+      "TILE ba-test KC 0 30 64 48",
+      "TILE ba-test KC 90 30 64 48",
+      "TILE ba-test TIES 180 30 64 48",
+      "TILE ba-test DEG 270 30 64 48",
+      "STATS",
+  };
+  StatusOr<std::unique_ptr<QueryService>> reference_service =
+      QueryService::Open(root_);
+  ASSERT_TRUE(reference_service.ok());
+  std::vector<std::string> reference;
+  for (const std::string& line : lines) {
+    reference.push_back(reference_service.value()->HandleLine(line));
+  }
+
+  constexpr int kThreads = 8;
+  constexpr int kRequestsPerThread = 45;
+  std::atomic<uint64_t> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRequestsPerThread; ++i) {
+        const size_t pick = (t * 5 + i) % lines.size();
+        const std::shared_ptr<const std::string> reply =
+            service_->Respond(lines[pick]);
+        StatusOr<ResponseFrame> frame = DecodeResponseFrame(*reply);
+        if (!frame.ok() || frame.value().wire_code != kWireOk) {
+          ++failures;
+        } else if (lines[pick] == "STATS") {
+          // Counters move under concurrent traffic; the layout may not.
+          if (frame.value().payload.rfind("version ", 0) != 0) ++failures;
+        } else if (*reply != reference[pick]) {
+          ++failures;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0u);
+  const ServiceStats stats = service_->stats();
+  EXPECT_EQ(stats.requests, uint64_t{kThreads} * kRequestsPerThread);
+  EXPECT_EQ(stats.ok, stats.requests);
+  EXPECT_EQ(stats.errors, 0u);
+  EXPECT_EQ(stats.artifacts_loaded, 3u);  // KC, DEG, TIES, once each
+  EXPECT_GE(stats.tiles_rendered, 4u);
 }
 
 TEST_F(ServiceTest, MissingArtifactIsNotFound) {

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,7 +20,9 @@ namespace graphscape {
 namespace service {
 namespace {
 
-std::string Tile(size_t bytes, char fill) { return std::string(bytes, fill); }
+std::shared_ptr<const std::string> Tile(size_t bytes, char fill) {
+  return std::make_shared<const std::string>(bytes, fill);
+}
 
 TEST(TileKeyTest, CanonicalIsDeterministicAndCollisionResistant) {
   TileKey key;
@@ -49,11 +53,14 @@ TEST(TileKeyTest, CanonicalIsDeterministicAndCollisionResistant) {
 
 TEST(TileLruCacheTest, GetMissThenHitAndByteLedger) {
   TileLruCache cache(1024);
-  std::string out;
-  EXPECT_FALSE(cache.Get("a", &out));
-  cache.Put("a", Tile(100, 'a'));
-  ASSERT_TRUE(cache.Get("a", &out));
-  EXPECT_EQ(out, Tile(100, 'a'));
+  EXPECT_EQ(cache.Get("a"), nullptr);
+  const std::shared_ptr<const std::string> stored = Tile(100, 'a');
+  cache.Put("a", stored);
+  const std::shared_ptr<const std::string> out = cache.Get("a");
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(*out, *Tile(100, 'a'));
+  // A hit hands out the stored buffer itself, not a copy.
+  EXPECT_EQ(out.get(), stored.get());
 
   const TileCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
@@ -77,8 +84,7 @@ TEST(TileLruCacheTest, PutEvictsFromLruEndUntilBudgetFits) {
   cache.Put("d", Tile(100, 'd'));
   EXPECT_EQ(cache.KeysMruToLru(),
             (std::vector<std::string>{"d", "c", "b"}));
-  std::string out;
-  EXPECT_FALSE(cache.Get("a", &out));
+  EXPECT_EQ(cache.Get("a"), nullptr);
 
   const TileCacheStats stats = cache.stats();
   EXPECT_EQ(stats.evictions, 1u);
@@ -105,23 +111,22 @@ TEST(TileLruCacheTest, GetBumpsToMruAndChangesEvictionVictim) {
   cache.Put("a", Tile(100, 'a'));
   cache.Put("b", Tile(100, 'b'));
   cache.Put("c", Tile(100, 'c'));
-  std::string out;
-  ASSERT_TRUE(cache.Get("a", &out));  // "a" is now MRU; "b" is the tail
+  ASSERT_NE(cache.Get("a"), nullptr);  // "a" is now MRU; "b" is the tail
   EXPECT_EQ(cache.KeysMruToLru(),
             (std::vector<std::string>{"a", "c", "b"}));
   cache.Put("d", Tile(100, 'd'));
   EXPECT_EQ(cache.KeysMruToLru(),
             (std::vector<std::string>{"d", "a", "c"}));
-  EXPECT_FALSE(cache.Get("b", &out));
+  EXPECT_EQ(cache.Get("b"), nullptr);
 }
 
 TEST(TileLruCacheTest, ReplacingAKeyUpdatesBytesNotTileCount) {
   TileLruCache cache(1024);
   cache.Put("a", Tile(100, 'a'));
   cache.Put("a", Tile(250, 'A'));
-  std::string out;
-  ASSERT_TRUE(cache.Get("a", &out));
-  EXPECT_EQ(out, Tile(250, 'A'));
+  const std::shared_ptr<const std::string> out = cache.Get("a");
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(*out, *Tile(250, 'A'));
   const TileCacheStats stats = cache.stats();
   EXPECT_EQ(stats.current_bytes, 250u);
   EXPECT_EQ(stats.current_tiles, 1u);
@@ -133,9 +138,8 @@ TEST(TileLruCacheTest, OversizeTileIsRejectedAndEvictsNothing) {
   TileLruCache cache(200);
   cache.Put("a", Tile(100, 'a'));
   cache.Put("huge", Tile(201, 'h'));
-  std::string out;
-  EXPECT_FALSE(cache.Get("huge", &out));
-  ASSERT_TRUE(cache.Get("a", &out));  // the resident entry survived
+  EXPECT_EQ(cache.Get("huge"), nullptr);
+  ASSERT_NE(cache.Get("a"), nullptr);  // the resident entry survived
   const TileCacheStats stats = cache.stats();
   EXPECT_EQ(stats.rejected_oversize, 1u);
   EXPECT_EQ(stats.evictions, 0u);
@@ -146,29 +150,35 @@ TEST(TileLruCacheTest, OversizeTileIsRejectedAndEvictsNothing) {
 TEST(TileLruCacheTest, ExactBudgetFitIsNotOversize) {
   TileLruCache cache(200);
   cache.Put("exact", Tile(200, 'e'));
-  std::string out;
-  EXPECT_TRUE(cache.Get("exact", &out));
+  EXPECT_NE(cache.Get("exact"), nullptr);
   EXPECT_EQ(cache.stats().rejected_oversize, 0u);
 }
 
 // The service renders outside the cache lock, so concurrent Get/Put on
 // overlapping keys is the normal case, not an edge case. This is a
 // smoke test for TSan (the CI matrix runs tier1 under -fsanitize=thread).
+// A hit may outlive its entry's eviction or replacement, so each reader
+// also checks that the buffer it holds is still one whole tile.
 TEST(TileLruCacheTest, ConcurrentMixedTrafficStaysConsistent) {
   TileLruCache cache(10 * 1024);
+  std::atomic<uint64_t> torn{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&cache, t] {
+    threads.emplace_back([&cache, &torn, t] {
       for (int i = 0; i < 500; ++i) {
         const std::string key = "k" + std::to_string((t * 7 + i) % 16);
-        std::string out;
-        if (!cache.Get(key, &out)) {
+        const std::shared_ptr<const std::string> hit = cache.Get(key);
+        if (hit == nullptr) {
           cache.Put(key, Tile(512, static_cast<char>('a' + (i % 26))));
+        } else if (hit->size() != 512 ||
+                   hit->find_first_not_of((*hit)[0]) != std::string::npos) {
+          ++torn;
         }
       }
     });
   }
   for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(torn.load(), 0u);
   const TileCacheStats stats = cache.stats();
   EXPECT_LE(stats.current_bytes, 10u * 1024u);
   EXPECT_EQ(stats.current_tiles, cache.KeysMruToLru().size());
