@@ -53,11 +53,7 @@ bool Run(ArtifactCache& cache, DatasetId id, const std::string& out) {
         const VertexScalarField kc =
             VertexScalarField::FromCounts("KC", CoreNumbers(ds.graph));
         TreeArtifact artifact;
-        // The parallel build is byte-identical to the sequential one, so
-        // the cache's checksum verification doubles as an end-to-end
-        // determinism check across thread counts and reruns.
-        artifact.tree = SuperTree(BuildVertexScalarTreeParallel(
-            ds.graph, kc, {bench::Threads(), 0}));
+        artifact.tree = SuperTree(BuildVertexScalarTree(ds.graph, kc));
         artifact.field_name = kc.Name();
         artifact.field_values = kc.Values();
         return artifact;
@@ -89,8 +85,7 @@ bool Run(ArtifactCache& cache, DatasetId id, const std::string& out) {
         const EdgeScalarField kt = EdgeScalarField::FromCounts(
             "KT", TrussNumbersParallel(ds.graph, {bench::Threads(), 0}));
         TreeArtifact artifact;
-        artifact.tree = SuperTree(BuildEdgeScalarTreeParallel(
-            ds.graph, kt, {bench::Threads(), 0}));
+        artifact.tree = SuperTree(BuildEdgeScalarTree(ds.graph, kt));
         artifact.field_name = kt.Name();
         artifact.field_values = kt.Values();
         return artifact;

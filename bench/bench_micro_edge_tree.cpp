@@ -48,7 +48,7 @@ void BM_EdgeTree_Naive(benchmark::State& state) {
 }
 BENCHMARK(BM_EdgeTree_Naive)->Range(1 << 10, 1 << 14);
 
-// Fixed-size sequential reference for the /threads:N rows below.
+// Fixed-size build row tracked by bench/compare_bench.py.
 void BM_BuildEdgeScalarTree(benchmark::State& state) {
   Rng rng(1);
   const Graph g = BarabasiAlbert(1 << 16, 4, &rng);
@@ -59,28 +59,6 @@ void BM_BuildEdgeScalarTree(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.NumEdges());
 }
 BENCHMARK(BM_BuildEdgeScalarTree);
-
-// Parallel edge-tree entry point: it runs the sequential build for every
-// width. The sweep stays sequential by design (the plateau chain makes
-// same-component edges real writes, so they cannot be pruned chunk-
-// locally — docs/PARALLELISM.md) and the radix sort is linear, so these
-// rows should match BM_BuildEdgeScalarTree.
-void BM_BuildEdgeScalarTreeParallel(benchmark::State& state) {
-  const uint32_t threads = static_cast<uint32_t>(state.range(0));
-  Rng rng(1);
-  const Graph g = BarabasiAlbert(1 << 16, 4, &rng);
-  const EdgeScalarField field = RandomEdgeField(g, 2);
-  const ParallelOptions options{threads, 0};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BuildEdgeScalarTreeParallel(g, field, options));
-  }
-  state.SetItemsProcessed(state.iterations() * g.NumEdges());
-}
-BENCHMARK(BM_BuildEdgeScalarTreeParallel)
-    ->ArgName("threads")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4);
 
 // Hub ablation: a star-heavy graph where sum deg^2 explodes. Algorithm 3 is
 // immune; the naive method pays quadratically in the hub degree.

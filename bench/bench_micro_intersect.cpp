@@ -183,7 +183,7 @@ Graph CollabGraph(uint32_t n) {
 void CountTrianglesWithKernel(benchmark::State& state, Kernel kernel) {
   const Graph g = CollabGraph(1 << 16);
   ScopedKernel scoped(kernel);
-  for (auto _ : state) benchmark::DoNotOptimize(CountTriangles(g));
+  for (auto _ : state) benchmark::DoNotOptimize(CountTriangles(g, {1, 0}));
   state.SetItemsProcessed(state.iterations() * g.NumEdges());
 }
 

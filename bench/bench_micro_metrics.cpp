@@ -37,7 +37,7 @@ BENCHMARK(BM_CoreNumbers)->Range(1 << 10, 1 << 16);
 
 void BM_TriangleCount(benchmark::State& state) {
   const Graph g = CollabGraph(static_cast<uint32_t>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(CountTriangles(g));
+  for (auto _ : state) benchmark::DoNotOptimize(CountTriangles(g, {1, 0}));
   state.SetItemsProcessed(state.iterations() * g.NumEdges());
 }
 BENCHMARK(BM_TriangleCount)->Range(1 << 10, 1 << 16);
@@ -58,14 +58,13 @@ BENCHMARK(BM_PageRank)->Range(1 << 10, 1 << 16);
 
 // Parallel metric rows (docs/PARALLELISM.md): each /threads:N row is
 // exactly equal (integer metrics) or bit-identical (floating point) to
-// its sequential counterpart above — tests/parallel_test.cc pins that;
+// the same call on one lane — tests/parallel_test.cc pins that;
 // these rows record the speed side.
 void BM_TriangleCountParallel(benchmark::State& state) {
   const uint32_t threads = static_cast<uint32_t>(state.range(0));
   const Graph g = CollabGraph(1 << 16);
   const ParallelOptions options{threads, 0};
-  for (auto _ : state)
-    benchmark::DoNotOptimize(CountTrianglesParallel(g, options));
+  for (auto _ : state) benchmark::DoNotOptimize(CountTriangles(g, options));
   state.SetItemsProcessed(state.iterations() * g.NumEdges());
 }
 BENCHMARK(BM_TriangleCountParallel)->ArgName("threads")->Arg(1)->Arg(2)->Arg(4);

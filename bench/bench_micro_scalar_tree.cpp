@@ -49,9 +49,7 @@ void BM_Algorithm1_IntegerField(benchmark::State& state) {
 }
 BENCHMARK(BM_Algorithm1_IntegerField)->Range(1 << 10, 1 << 17);
 
-// Fixed-size sequential reference for the scaling gate: the /threads:N
-// rows below divide against this row, and bench/compare_bench.py checks
-// the 4-thread ratio on machines with enough cores.
+// Fixed-size build row tracked by bench/compare_bench.py.
 void BM_BuildVertexScalarTree(benchmark::State& state) {
   const uint32_t n = 1 << 17;
   const Graph g = MakeBenchGraph(n);
@@ -65,31 +63,6 @@ void BM_BuildVertexScalarTree(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.NumEdges());
 }
 BENCHMARK(BM_BuildVertexScalarTree);
-
-// Chunked parallel build (docs/PARALLELISM.md): sequential radix sort
-// + per-chunk pruning sweeps + sequential replay of the kept stream.
-// Output is byte-identical to the sequential row for every thread count
-// (tests/parallel_test.cc); these rows measure the speed side of that
-// contract.
-void BM_BuildVertexScalarTreeParallel(benchmark::State& state) {
-  const uint32_t threads = static_cast<uint32_t>(state.range(0));
-  const uint32_t n = 1 << 17;
-  const Graph g = MakeBenchGraph(n);
-  Rng rng(7);
-  std::vector<double> values(n);
-  for (auto& v : values) v = rng.UniformDouble();
-  const VertexScalarField field("f", values);
-  const ParallelOptions options{threads, 0};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BuildVertexScalarTreeParallel(g, field, options));
-  }
-  state.SetItemsProcessed(state.iterations() * g.NumEdges());
-}
-BENCHMARK(BM_BuildVertexScalarTreeParallel)
-    ->ArgName("threads")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4);
 
 void BM_Algorithm2_SuperTree(benchmark::State& state) {
   const uint32_t n = static_cast<uint32_t>(state.range(0));

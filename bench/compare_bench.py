@@ -29,11 +29,10 @@ Tracked rows:
     both split policies. Same regression bound, inverted.
 
   * Scaling efficiency for the parallel construction engine
-    (docs/PARALLELISM.md): within the CURRENT run, the sequential
-    reference's real_time over its /threads:4 row. The vertex-tree row
-    gates at >= 2.5x, but ONLY when the runner reports enough cores
-    (context.num_cpus >= 4); on smaller machines all scaling rows are
-    informational. The other rows are always informational readouts.
+    (docs/PARALLELISM.md): within the CURRENT run, a /threads:1 row's
+    real_time over its /threads:4 row's. Every row is an
+    informational readout today; a row given a min_speedup gates ONLY
+    when the runner reports enough cores (context.num_cpus >= 4).
 
   * Kernel speedups for the sorted-run intersection layer (docs/SIMD.md):
     within the CURRENT run, the scalar merge's real_time over the
@@ -77,14 +76,11 @@ TRACKED_BENCHMARKS = [
     # The peeling decompositions behind the K-Core and K-Truss fields.
     "BM_CoreNumbers/65536",
     "BM_TrussNumbers/32768",
-    # Parallel construction engine (docs/PARALLELISM.md): the fixed-size
-    # sequential references and their 4-lane rows. Tracking both keeps a
-    # regression in EITHER path visible even on 1-core runners, where the
-    # /threads:4 row degrades to the sequential code path.
+    # The fixed-size tree builds, then the parallel construction
+    # engine's 4-lane rows (docs/PARALLELISM.md). On 1-core runners a
+    # /threads:4 row degrades to the one-lane code path.
     "BM_BuildVertexScalarTree",
-    "BM_BuildVertexScalarTreeParallel/threads:4",
     "BM_BuildEdgeScalarTree",
-    "BM_BuildEdgeScalarTreeParallel/threads:4",
     "BM_TriangleCountParallel/threads:4",
     "BM_PageRankParallel/threads:4",
     "BM_RasterizeParallel/threads:4",
@@ -118,13 +114,8 @@ TRACKED_TIME_BENCHMARKS = [
 # (context.num_cpus >= the thread count); on smaller machines every row
 # is informational — a 1-core container cannot show parallel speedup and
 # must not fail on it. min_speedup None = always informational (e.g. the
-# edge tree's parallel row runs the sequential build, since its sweep
-# cannot be chunked; the raster pays per-band footprint re-decode).
+# raster pays per-band footprint re-decode).
 SCALING_CHECKS = [
-    ("BM_BuildVertexScalarTree",
-     "BM_BuildVertexScalarTreeParallel/threads:4", 4, 2.5),
-    ("BM_BuildEdgeScalarTree",
-     "BM_BuildEdgeScalarTreeParallel/threads:4", 4, None),
     ("BM_TriangleCountParallel/threads:1",
      "BM_TriangleCountParallel/threads:4", 4, None),
     ("BM_PageRankParallel/threads:1",

@@ -2,11 +2,11 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // Shared-memory parallel-for over a small fixed-size thread pool — the
-// construction engine behind the chunked scalar-tree sweeps
-// (scalar/tree_core.h), the parallel metrics substrate, the spring-layout
-// repulsion pass, and the terrain raster's row bands. The full threading
-// model (pool lifecycle, grain sizes, the determinism contract) is
-// documented in docs/PARALLELISM.md; the invariants callers rely on:
+// construction engine behind the parallel metrics substrate, the
+// spring-layout repulsion pass, and the terrain raster's row bands. The
+// full threading model (pool lifecycle, grain sizes, the determinism
+// contract) is documented in docs/PARALLELISM.md; the invariants callers
+// rely on:
 //
 //  * Deterministic by construction. ParallelFor runs a pure body over
 //    disjoint indices; ParallelReduce splits the range into blocks whose
@@ -59,9 +59,9 @@ struct ParallelOptions {
   /// execution (the pool is not touched).
   uint32_t num_threads = 0;
   /// Minimum indices per block. 0 lets the algorithm pick its own grain
-  /// (ParallelFor/ParallelReduce default to 1024; the tree builds use
-  /// their documented sweep-chunk default). Block boundaries depend only
-  /// on (range, grain) so reductions stay thread-count independent.
+  /// (ParallelFor/ParallelReduce default to 1024). Block boundaries
+  /// depend only on (range, grain) so reductions stay thread-count
+  /// independent.
   uint64_t grain = 0;
 };
 

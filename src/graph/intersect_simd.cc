@@ -22,8 +22,6 @@
 #include "graph/intersect_simd.h"
 
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 
 #if !defined(GRAPHSCAPE_SIMD_DISABLED) && defined(__x86_64__) && \
     (defined(__GNUC__) || defined(__clang__))
@@ -342,25 +340,9 @@ bool ProbeSupported(Kernel kernel) {
   }
 }
 
-// Env cap: GRAPHSCAPE_SIMD limits how wide dispatch may go (docs/SIMD.md).
-// Unset or unrecognized means "best supported".
-Kernel EnvKernelCap() {
-  const char* env = std::getenv("GRAPHSCAPE_SIMD");
-  if (env == nullptr) return Kernel::kAvx2;
-  if (std::strcmp(env, "scalar") == 0 || std::strcmp(env, "off") == 0 ||
-      std::strcmp(env, "0") == 0) {
-    return Kernel::kScalar;
-  }
-  if (std::strcmp(env, "sse2") == 0 || std::strcmp(env, "sse") == 0) {
-    return Kernel::kSse2;
-  }
-  return Kernel::kAvx2;
-}
-
 Dispatch ResolveDispatch() {
-  const Kernel cap = EnvKernelCap();
   for (const Kernel kernel : {Kernel::kAvx2, Kernel::kSse2}) {
-    if (kernel <= cap && ProbeSupported(kernel)) return MakeDispatch(kernel);
+    if (ProbeSupported(kernel)) return MakeDispatch(kernel);
   }
   return MakeDispatch(Kernel::kScalar);
 }

@@ -40,12 +40,12 @@ namespace intersect {
 
 /// Dense-kernel flavors, ordered by preference. Dispatch resolves once, at
 /// first use: AVX2 if the CPU has it, else SSE2 (x86-64 baseline), else
-/// the portable scalar merge. The GRAPHSCAPE_SIMD environment variable
-/// ("scalar"/"off", "sse2", "avx2") caps the choice; building with
-/// -DGRAPHSCAPE_SIMD=OFF compiles the vector paths out entirely.
+/// the portable scalar merge. Building with -DGRAPHSCAPE_SIMD=OFF
+/// compiles the vector paths out entirely.
 enum class Kernel { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
 
-/// The dense kernel the process resolved to (after env cap + CPU probe).
+/// The dense kernel the process resolved to (the CPU probe's pick, or
+/// the last SetKernelForTesting).
 Kernel ActiveKernel();
 
 /// Human-readable kernel name ("scalar", "sse2", "avx2").

@@ -33,27 +33,9 @@ uint64_t TrianglesThrough(const Graph& g, VertexId v) {
 
 }  // namespace
 
-std::vector<double> LocalClusteringCoefficients(const Graph& g) {
-  const std::vector<uint32_t> triangles = VertexTriangleCounts(g);
-  const uint32_t n = g.NumVertices();
-  std::vector<double> cc(n);
-  for (VertexId v = 0; v < n; ++v) {
-    cc[v] = Coefficient(triangles[v], g.Degree(v));
-  }
-  return cc;
-}
-
-double AverageClusteringCoefficient(const Graph& g) {
-  const uint32_t n = g.NumVertices();
-  if (n == 0) return 0.0;
-  const std::vector<double> cc = LocalClusteringCoefficients(g);
-  return std::accumulate(cc.begin(), cc.end(), 0.0) / n;
-}
-
-std::vector<double> LocalClusteringCoefficientsParallel(
+std::vector<double> LocalClusteringCoefficients(
     const Graph& g, const ParallelOptions& options) {
-  const std::vector<uint32_t> triangles =
-      VertexTriangleCountsParallel(g, options);
+  const std::vector<uint32_t> triangles = VertexTriangleCounts(g, options);
   const uint32_t n = g.NumVertices();
   std::vector<double> cc(n);
   ParallelFor(0, n, options, [&](uint64_t v) {
@@ -62,14 +44,13 @@ std::vector<double> LocalClusteringCoefficientsParallel(
   return cc;
 }
 
-double AverageClusteringCoefficientParallel(const Graph& g,
-                                            const ParallelOptions& options) {
+double AverageClusteringCoefficient(const Graph& g,
+                                    const ParallelOptions& options) {
   const uint32_t n = g.NumVertices();
   if (n == 0) return 0.0;
-  const std::vector<double> cc =
-      LocalClusteringCoefficientsParallel(g, options);
-  // Sequential fold in v order — the exact op order of the sequential
-  // average, so the two are bit-identical.
+  const std::vector<double> cc = LocalClusteringCoefficients(g, options);
+  // Sequential fold in v order, so the thread count cannot reorder the
+  // floating-point sum.
   return std::accumulate(cc.begin(), cc.end(), 0.0) / n;
 }
 
@@ -101,7 +82,7 @@ double GlobalClusteringCoefficient(const Graph& g) {
     if (d >= 2) wedges += d * (d - 1) / 2;
   }
   if (wedges == 0) return 0.0;
-  return 3.0 * static_cast<double>(CountTriangles(g)) /
+  return 3.0 * static_cast<double>(CountTriangles(g, {1, 0})) /
          static_cast<double>(wedges);
 }
 

@@ -3,6 +3,8 @@
 
 #include "metrics/triangles.h"
 
+#include <algorithm>
+
 #include "graph/intersect.h"
 
 namespace graphscape {
@@ -55,8 +57,8 @@ ForwardAdjacency BuildForward(const Graph& g,
   return fwd;
 }
 
-// Count-only per-pivot tally: triangles sourced at u. The parallel
-// variants partition work by pivot; integer partial sums are
+// Count-only per-pivot tally: triangles sourced at u. The lanes
+// partition work by pivot; integer partial sums are
 // partition-invariant, so thread count can never show through.
 inline uint64_t TrianglesFromPivot(const ForwardAdjacency& fwd, VertexId u) {
   uint64_t count = 0;
@@ -96,31 +98,7 @@ std::vector<uint32_t> Degrees(const Graph& g, const ParallelOptions& options) {
 
 }  // namespace
 
-uint64_t CountTriangles(const Graph& g) {
-  const uint32_t n = g.NumVertices();
-  std::vector<uint32_t> deg(n);
-  for (uint32_t v = 0; v < n; ++v) deg[v] = g.Degree(v);
-  const ForwardAdjacency fwd = BuildForward(g, deg);
-  uint64_t count = 0;
-  for (VertexId u = 0; u < n; ++u) count += TrianglesFromPivot(fwd, u);
-  return count;
-}
-
-std::vector<uint32_t> VertexTriangleCounts(const Graph& g) {
-  const uint32_t n = g.NumVertices();
-  std::vector<uint32_t> deg(n);
-  for (uint32_t v = 0; v < n; ++v) deg[v] = g.Degree(v);
-  const ForwardAdjacency fwd = BuildForward(g, deg);
-  std::vector<uint32_t> counts(n, 0);
-  std::vector<VertexId> scratch(fwd.max_out_degree);
-  for (VertexId u = 0; u < n; ++u) {
-    VertexTrianglesFromPivot(fwd, u, scratch.data(), counts.data());
-  }
-  return counts;
-}
-
-uint64_t CountTrianglesParallel(const Graph& g,
-                                const ParallelOptions& options) {
+uint64_t CountTriangles(const Graph& g, const ParallelOptions& options) {
   const uint32_t n = g.NumVertices();
   const std::vector<uint32_t> deg = Degrees(g, options);
   const ForwardAdjacency fwd = BuildForward(g, deg);
@@ -134,8 +112,8 @@ uint64_t CountTrianglesParallel(const Graph& g,
       [](uint64_t total, uint64_t partial) { return total + partial; });
 }
 
-std::vector<uint32_t> VertexTriangleCountsParallel(
-    const Graph& g, const ParallelOptions& options) {
+std::vector<uint32_t> VertexTriangleCounts(const Graph& g,
+                                           const ParallelOptions& options) {
   const uint32_t n = g.NumVertices();
   const uint32_t threads =
       options.num_threads == 0 ? DefaultThreads() : options.num_threads;
@@ -143,8 +121,7 @@ std::vector<uint32_t> VertexTriangleCountsParallel(
   const uint64_t num_blocks = (n + grain - 1) / grain;
   // Must match what ParallelForBlocks below resolves to, so every lane
   // id the body sees has an arena.
-  const uint32_t lanes = EffectiveLanes({threads, 1}, num_blocks);
-  if (lanes <= 1) return VertexTriangleCounts(g);
+  const uint32_t lanes = std::max(1u, EffectiveLanes({threads, 1}, num_blocks));
   const std::vector<uint32_t> deg = Degrees(g, options);
   const ForwardAdjacency fwd = BuildForward(g, deg);
 
@@ -153,8 +130,7 @@ std::vector<uint32_t> VertexTriangleCountsParallel(
   // its lane's arena, so lanes never share mutable state. Which arena a
   // triangle lands in varies run to run (blocks are claimed
   // dynamically), but the per-vertex SUM over arenas is an integer and
-  // therefore partition-invariant — still exactly equal to the
-  // sequential counts.
+  // therefore partition-invariant.
   std::vector<std::vector<uint32_t>> arenas(lanes);
   for (std::vector<uint32_t>& arena : arenas) arena.assign(n, 0);
   std::vector<std::vector<VertexId>> scratch(lanes);
@@ -169,6 +145,7 @@ std::vector<uint32_t> VertexTriangleCountsParallel(
                             scratch[lane].data(), arenas[lane].data());
                       }
                     });
+  if (lanes == 1) return std::move(arenas[0]);
 
   // Fixed lane-order reduction (integer, so order is moot — kept fixed
   // anyway to match the documented contract).

@@ -16,26 +16,18 @@
 
 namespace graphscape {
 
-/// Total number of triangles in g.
-uint64_t CountTriangles(const Graph& g);
-
-/// Per-vertex triangle participation counts.
-std::vector<uint32_t> VertexTriangleCounts(const Graph& g);
-
-/// CountTriangles over the pool: pivot vertices are enumerated in
+/// Total number of triangles in g. Pivot vertices are enumerated in
 /// parallel blocks whose integer partials are summed in fixed block
-/// order — EQUAL to CountTriangles for every thread count (integer
-/// addition has no rounding to reorder).
-uint64_t CountTrianglesParallel(const Graph& g,
-                                const ParallelOptions& options = {});
+/// order, so the count is EQUAL for every thread count.
+uint64_t CountTriangles(const Graph& g, const ParallelOptions& options = {});
 
-/// VertexTriangleCounts over the pool: each lane accumulates into its
-/// own n-sized count arena (a triangle's three increments land wherever
-/// the pivot's lane is), then the arenas are reduced per vertex in fixed
-/// lane order. EQUAL to VertexTriangleCounts for every thread count.
-/// Memory: lanes x n uint32 scratch.
-std::vector<uint32_t> VertexTriangleCountsParallel(
-    const Graph& g, const ParallelOptions& options = {});
+/// Per-vertex triangle participation counts. Each lane accumulates into
+/// its own n-sized count arena (a triangle's three increments land
+/// wherever the pivot's lane is), then the arenas are summed per vertex;
+/// integer sums make the result EQUAL for every thread count. At one
+/// lane the single arena is the result. Memory: lanes x n uint32.
+std::vector<uint32_t> VertexTriangleCounts(const Graph& g,
+                                           const ParallelOptions& options = {});
 
 }  // namespace graphscape
 

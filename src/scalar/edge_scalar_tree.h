@@ -68,14 +68,7 @@ ScalarTree BuildEdgeScalarTree(const Graph& g, const EdgeScalarField& field);
 ScalarTree BuildEdgeScalarTree(const Graph& g, const EdgeIndex& index,
                                const EdgeScalarField& field);
 
-/// Algorithm 3 under the ParallelOptions signature the other builds
-/// share: runs BuildEdgeScalarTree for every thread count. The sweep is
-/// sequential BY DESIGN: its same-component case is a plateau CHAIN
-/// (parent[head] = e; head = e), not a no-op, so the prune-and-replay
-/// filter that parallelizes the vertex sweep is unsound here — a
-/// chunk-local sweep cannot know the global head an edge must chain
-/// under — and the linear-time sort leaves nothing worth a pool region.
-/// See docs/PARALLELISM.md.
+/// Runs BuildEdgeScalarTree; kept until graphscape_bench stops calling it.
 ScalarTree BuildEdgeScalarTreeParallel(const Graph& g,
                                        const EdgeScalarField& field,
                                        const ParallelOptions& options = {});

@@ -79,18 +79,7 @@ class ScalarTree {
 ScalarTree BuildVertexScalarTree(const Graph& g,
                                  const VertexScalarField& field);
 
-/// Parallel Algorithm 1: byte-identical output to BuildVertexScalarTree
-/// for EVERY thread count (pinned by tests/parallel_test.cc; determinism
-/// argument in docs/PARALLELISM.md). Three phases: the sequential
-/// (value desc, id asc) radix sort — unique result, the order is
-/// total — then chunk-local union-find sweeps over rank-partitioned
-/// chunks that drop provably redundant intra-chunk edges, then a
-/// sequential boundary replay of the kept edges in sweep order, which
-/// performs the exact merge sequence of the sequential build.
-/// options.num_threads == 1 (or an effective width of 1) calls
-/// BuildVertexScalarTree directly; options.grain overrides the minimum
-/// sweep-chunk length (default 4096 — tests shrink it to force
-/// adversarial chunk boundaries).
+/// Runs BuildVertexScalarTree; kept until graphscape_bench stops calling it.
 ScalarTree BuildVertexScalarTreeParallel(const Graph& g,
                                          const VertexScalarField& field,
                                          const ParallelOptions& options = {});

@@ -73,17 +73,5 @@ void SortSweepOrder(const std::vector<double>& values,
   for (uint32_t i = 0; i < n; ++i) (*rank)[(*order)[i]] = i;
 }
 
-std::vector<uint64_t> MakeSweepChunks(uint64_t n, uint32_t max_chunks,
-                                      uint64_t min_chunk) {
-  if (min_chunk == 0) min_chunk = 1;
-  if (max_chunks == 0) max_chunks = 1;
-  uint64_t chunks = n / min_chunk;
-  if (chunks < 1) chunks = 1;
-  if (chunks > max_chunks) chunks = max_chunks;
-  std::vector<uint64_t> bounds(chunks + 1);
-  for (uint64_t c = 0; c <= chunks; ++c) bounds[c] = n * c / chunks;
-  return bounds;
-}
-
 }  // namespace tree_core
 }  // namespace graphscape

@@ -42,25 +42,6 @@
 //    SimplifiedEdgeSuperTree bucket identically (SnapToLevels) and why
 //    tests pin vertex-vs-edge bucketing to be the same.
 //
-//  * What the parallel builds lean on (docs/PARALLELISM.md). Three of
-//    the invariants above are exactly what makes the chunked sweep of
-//    BuildVertexScalarTreeParallel byte-identical to the sequential
-//    build: (1) the sweep order is a STRICT TOTAL order, so the sorted
-//    (order, rank) arrays are unique — both builds call the one
-//    SortSweepOrder, and any correct sort of a total order yields the
-//    same bytes; (2) at the moment element w is
-//    swept, w's component is the singleton {w} (every edge of w
-//    activates at key >= rank(w)), so a replay that re-derives Find(w)
-//    sees exactly what the sequential sweep saw; (3) a chunk-local
-//    union-find only ever processes a PREFIX-SUBSET of the edges the
-//    global sweep has processed at the same point, so local connectivity
-//    implies global connectivity — an intra-chunk edge that is locally
-//    redundant is provably a no-op in the sequential sweep and can be
-//    dropped before the ordered boundary replay. Per-chunk scratch
-//    (local union-find arrays, kept-edge buffers) is allocated by the
-//    CALLING thread before the region starts and owned by exactly one
-//    chunk; lanes never share mutable state.
-//
 // Everything operates on pre-sized flat arrays so the callers' sweep
 // loops stay allocation-free (tests/allocation_test.cc).
 
@@ -101,14 +82,6 @@ inline uint32_t Find(uint32_t* uf, uint32_t x) {
 void SortSweepOrder(const std::vector<double>& values,
                     std::vector<uint32_t>* order,
                     std::vector<uint32_t>* rank);
-
-// Rank-space chunk boundaries for the phase-A local sweeps of
-// BuildVertexScalarTreeParallel: min(max_chunks, max(1, n / min_chunk))
-// nearly equal ranges as a bounds array of size C+1. The chunking choice
-// affects only load balance, never the result (see the header comment);
-// tests shrink min_chunk to force adversarial boundaries.
-std::vector<uint64_t> MakeSweepChunks(uint64_t n, uint32_t max_chunks,
-                                      uint64_t min_chunk);
 
 // One merge step of the sweep: the component rooted at `ru` finishes
 // growing — its head becomes a child of sweep node `w` — then unions by

@@ -112,46 +112,6 @@ TEST(AllocationDisciplineTest, SortAllocationCountIsIndependentOfPassCount) {
   EXPECT_EQ(AllocationsDuringSort(integers), AllocationsDuringSort(distinct));
 }
 
-uint64_t AllocationsDuringParallelBuild(uint32_t n, uint32_t threads) {
-  Rng rng(42);
-  const Graph g = BarabasiAlbert(n, 4, &rng);
-  Rng field_rng(7);
-  std::vector<double> values(g.NumVertices());
-  for (auto& v : values) v = field_rng.UniformDouble();
-  const VertexScalarField field("f", values);
-
-  // grain 64 pins the chunk count at the lane ceiling for both sizes
-  // (n / 64 >> 4 lanes), so the two runs allocate the same NUMBER of
-  // per-chunk scratch arrays and differ only in array lengths.
-  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-  const ScalarTree tree =
-      BuildVertexScalarTreeParallel(g, field, {threads, /*grain=*/64});
-  const SuperTree super(tree);
-  const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
-  EXPECT_GT(super.NumNodes(), 0u);
-  return after - before;
-}
-
-TEST(AllocationDisciplineTest,
-     ParallelBuildAllocationCountIsConstantInGraphSize) {
-  // Warm-up: spawn the pool's worker threads outside the counted window
-  // (thread creation allocates; it happens once per process, not per
-  // build). The parallel build then follows the same discipline as the
-  // sequential one — the per-chunk scratch (local union-find, kept-edge
-  // streams) is a fixed NUMBER of arrays per chunk, and the chunk count
-  // depends only on the thread count, never on n. The sweep and replay
-  // loops themselves never allocate.
-  (void)AllocationsDuringParallelBuild(1 << 13, 4);
-  const uint64_t small = AllocationsDuringParallelBuild(1 << 13, 4);
-  const uint64_t large = AllocationsDuringParallelBuild(1 << 16, 4);
-  EXPECT_EQ(small, large)
-      << "allocation count scales with graph size - something allocates "
-         "inside the chunked parallel sweep";
-  // The sequential build's arrays + the sort's key array + per-chunk
-  // scratch (3 arrays x <=4 chunks) + the packed kept-edge streams.
-  EXPECT_LE(large, 48u);
-}
-
 uint64_t AllocationsDuringEdgeBuild(uint32_t n) {
   Rng rng(42);
   const Graph g = BarabasiAlbert(n, 4, &rng);
@@ -250,8 +210,8 @@ uint64_t AllocationsDuringTriangleCount(uint32_t n) {
   Rng rng(42);
   const Graph g = BarabasiAlbert(n, 4, &rng);
   const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-  const uint64_t total = CountTriangles(g);
-  const std::vector<uint32_t> per_vertex = VertexTriangleCounts(g);
+  const uint64_t total = CountTriangles(g, {1, 0});
+  const std::vector<uint32_t> per_vertex = VertexTriangleCounts(g, {1, 0});
   const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
   EXPECT_GT(total, 0u);
   EXPECT_EQ(per_vertex.size(), g.NumVertices());
@@ -259,10 +219,11 @@ uint64_t AllocationsDuringTriangleCount(uint32_t n) {
 }
 
 TEST(AllocationDisciplineTest, TriangleCountAllocationsConstantInGraphSize) {
-  // CountTriangles/VertexTriangleCounts allocate a fixed set of arrays
-  // up front (the forward adjacency's offsets + targets, the counts
-  // vector, one intersection scratch buffer) and nothing per vertex or
-  // per intersection inside the sweep.
+  // On one lane, CountTriangles/VertexTriangleCounts allocate a fixed
+  // set of arrays up front (the degrees, the forward adjacency's offsets
+  // + targets, the block partials or the one count arena, one
+  // intersection scratch buffer) and nothing per vertex or per
+  // intersection inside the sweep.
   const uint64_t small = AllocationsDuringTriangleCount(1 << 8);
   const uint64_t large = AllocationsDuringTriangleCount(1 << 14);
   EXPECT_EQ(small, large)

@@ -6,12 +6,10 @@
 //
 //  * pool primitives — every index visited exactly once, lane ids dense,
 //    fixed-order reduction;
-//  * parallel tree builds — byte-identical TreeArtifact serialization vs
-//    the sequential builds for thread counts {1, 2, 4, 7} on the oracle
-//    graph families, including adversarial chunkings (ties pinned at
-//    chunk edges, single-chunk, more requested chunks than elements);
-//  * parallel metrics / layout / raster — exactly equal to their
-//    sequential counterparts for every width.
+//  * the two *Parallel tree-build forwards — byte-identical
+//    TreeArtifact serialization vs the builds they forward to;
+//  * parallel metrics / layout / raster — exactly equal to the same
+//    call on one lane for every width.
 //
 // Everything here runs under the CI TSan leg with GRAPHSCAPE_THREADS=4,
 // which is what actually exercises the pool's publication/completion
@@ -22,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -41,7 +40,6 @@
 #include "scalar/edge_scalar_tree.h"
 #include "scalar/scalar_tree.h"
 #include "scalar/super_tree.h"
-#include "scalar/tree_core.h"
 #include "scalar/tree_io.h"
 #include "terrain/terrain_layout.h"
 #include "terrain/terrain_raster.h"
@@ -117,21 +115,6 @@ TEST(EffectiveLanesTest, ClampsToBlocksAndCeiling) {
   EXPECT_LE(EffectiveLanes({0, 1}, 1u << 20), kMaxThreads);
 }
 
-TEST(MakeSweepChunksTest, BoundsAreMonotoneAndClamped) {
-  const std::vector<uint64_t> one = tree_core::MakeSweepChunks(10, 4, 100);
-  ASSERT_EQ(one.size(), 2u);  // min_chunk caps the count at 1
-  EXPECT_EQ(one.front(), 0u);
-  EXPECT_EQ(one.back(), 10u);
-  // More requested chunks than elements: clamped to n single-element
-  // chunks, never an empty-range crash.
-  const std::vector<uint64_t> tiny = tree_core::MakeSweepChunks(3, 7, 1);
-  ASSERT_EQ(tiny.size(), 4u);
-  for (size_t i = 0; i + 1 < tiny.size(); ++i) EXPECT_LE(tiny[i], tiny[i + 1]);
-  const std::vector<uint64_t> empty = tree_core::MakeSweepChunks(0, 7, 1);
-  ASSERT_EQ(empty.size(), 2u);
-  EXPECT_EQ(empty.back(), 0u);
-}
-
 // ------------------------------------------------- oracle graph families --
 
 Graph Path(uint32_t n) {
@@ -182,44 +165,51 @@ std::string ArtifactBytes(const ScalarTree& tree, const std::string& name,
   return bytes.ok() ? bytes.value() : std::string();
 }
 
+// ------------------------------------------------- tree-build forwards --
+
+// BuildVertexScalarTreeParallel and BuildEdgeScalarTreeParallel only
+// forward to the sequential builds; width 0 is the DefaultThreads() case.
+TEST(ParallelTreeForwardTest, ForwardsMatchSequentialBuilds) {
+  Rng rng(42);
+  const Graph g = BarabasiAlbert(512, 4, &rng);
+  const std::vector<double> vertex_values =
+      PlateauField(g.NumVertices(), 5, 13);
+  const std::vector<double> edge_values = PlateauField(g.NumEdges(), 6, 2);
+  const VertexScalarField vertex_field("f", vertex_values);
+  const EdgeScalarField edge_field("f", edge_values);
+  const std::string vertex_bytes =
+      ArtifactBytes(BuildVertexScalarTree(g, vertex_field), "f", vertex_values);
+  const std::string edge_bytes =
+      ArtifactBytes(BuildEdgeScalarTree(g, edge_field), "f", edge_values);
+  for (const uint32_t width : {0u, 1u, 2u, 4u}) {
+    const ParallelOptions options{width, 0};
+    const ScalarTree vertex_tree =
+        BuildVertexScalarTreeParallel(g, vertex_field, options);
+    const ScalarTree edge_tree =
+        BuildEdgeScalarTreeParallel(g, edge_field, options);
+    EXPECT_EQ(ArtifactBytes(vertex_tree, "f", vertex_values), vertex_bytes)
+        << "width " << width;
+    EXPECT_EQ(ArtifactBytes(edge_tree, "f", edge_values), edge_bytes)
+        << "width " << width;
+  }
+}
+
 // Asserts BuildVertexScalarTreeParallel == BuildVertexScalarTree at the
 // TreeArtifact byte level for all pinned widths, plus raw parent/order/
 // root equality (sharper failure messages than a byte diff).
 void ExpectVertexTreeIdentical(const Graph& g,
-                               const std::vector<double>& values,
-                               uint64_t grain) {
+                               const std::vector<double>& values) {
   const VertexScalarField field("f", values);
   const ScalarTree seq = BuildVertexScalarTree(g, field);
   const std::string seq_bytes = ArtifactBytes(seq, "f", values);
   for (const uint32_t width : kWidths) {
-    const ScalarTree par =
-        BuildVertexScalarTreeParallel(g, field, {width, grain});
+    const ScalarTree par = BuildVertexScalarTreeParallel(g, field, {width, 1});
     EXPECT_EQ(par.Parents(), seq.Parents()) << "width " << width;
     EXPECT_EQ(par.SweepOrder(), seq.SweepOrder()) << "width " << width;
     EXPECT_EQ(par.NumRoots(), seq.NumRoots()) << "width " << width;
-    EXPECT_EQ(ArtifactBytes(par, "f", values), seq_bytes)
-        << "width " << width << " grain " << grain;
+    EXPECT_EQ(ArtifactBytes(par, "f", values), seq_bytes) << "width " << width;
   }
 }
-
-void ExpectEdgeTreeIdentical(const Graph& g,
-                             const std::vector<double>& values,
-                             uint64_t grain) {
-  const EdgeScalarField field("f", values);
-  const ScalarTree seq = BuildEdgeScalarTree(g, field);
-  const std::string seq_bytes = ArtifactBytes(seq, "f", values);
-  for (const uint32_t width : kWidths) {
-    const ScalarTree par =
-        BuildEdgeScalarTreeParallel(g, field, {width, grain});
-    EXPECT_EQ(par.Parents(), seq.Parents()) << "width " << width;
-    EXPECT_EQ(par.SweepOrder(), seq.SweepOrder()) << "width " << width;
-    EXPECT_EQ(par.NumRoots(), seq.NumRoots()) << "width " << width;
-    EXPECT_EQ(ArtifactBytes(par, "f", values), seq_bytes)
-        << "width " << width << " grain " << grain;
-  }
-}
-
-// ------------------------------------ vertex tree thread-sweep identity --
 
 TEST(ParallelVertexTreeTest, PathFamilies) {
   const Graph g = Path(257);
@@ -230,118 +220,72 @@ TEST(ParallelVertexTreeTest, PathFamilies) {
     const double b = 95.0 - std::abs(190.0 - static_cast<double>(v));
     two_peak[v] = a > b ? a : b;
   }
-  ExpectVertexTreeIdentical(g, two_peak, 16);
-  ExpectVertexTreeIdentical(g, DistinctField(257, 5), 16);
+  ExpectVertexTreeIdentical(g, two_peak);
+  ExpectVertexTreeIdentical(g, DistinctField(257, 5));
 }
 
 TEST(ParallelVertexTreeTest, StarFamilies) {
   const Graph g = Star(64);
-  ExpectVertexTreeIdentical(g, DistinctField(65, 9), 8);
-  ExpectVertexTreeIdentical(g, PlateauField(65, 3, 9), 8);
-}
-
-TEST(ParallelVertexTreeTest, BarabasiAlbertDistinctAndPlateau) {
-  Rng rng(42);
-  const Graph g = BarabasiAlbert(4096, 4, &rng);
-  ExpectVertexTreeIdentical(g, DistinctField(4096, 7), 0);  // default grain
-  ExpectVertexTreeIdentical(g, DistinctField(4096, 7), 256);
-  // Integer plateau field — the K-Core-like shape with massive ties.
-  ExpectVertexTreeIdentical(g, PlateauField(4096, 5, 13), 256);
+  ExpectVertexTreeIdentical(g, DistinctField(65, 9));
+  ExpectVertexTreeIdentical(g, PlateauField(65, 3, 9));
 }
 
 TEST(ParallelVertexTreeTest, ErdosRenyiWithIsolatedVertices) {
   Rng rng(3);
   // Sparse: multiple components and isolated vertices (several roots).
   const Graph g = ErdosRenyi(2048, 0.0008, &rng);
-  ExpectVertexTreeIdentical(g, DistinctField(2048, 21), 128);
+  ExpectVertexTreeIdentical(g, DistinctField(2048, 21));
 }
-
-TEST(ParallelVertexTreeTest, CollaborationNetwork) {
-  const Graph g = Collab(2000);
-  ExpectVertexTreeIdentical(g, DistinctField(g.NumVertices(), 17), 200);
-  ExpectVertexTreeIdentical(g, PlateauField(g.NumVertices(), 4, 17), 200);
-}
-
-// ------------------------------------------- adversarial chunk shapes --
 
 TEST(ParallelVertexTreeTest, AdversarialChunkBoundaries) {
   Rng rng(42);
   const Graph g = BarabasiAlbert(331, 3, &rng);  // prime vertex count
-  // Constant field: EVERY boundary is a tie boundary; the rank order is
-  // pure id order and plateaus span every chunk edge.
-  ExpectVertexTreeIdentical(g, std::vector<double>(331, 1.0), 1);
-  // Two-value field with grain 1: maximal chunk count, ties everywhere.
-  ExpectVertexTreeIdentical(g, PlateauField(331, 2, 29), 1);
-  // grain 3 on a prime-sized graph: ragged last chunk.
-  ExpectVertexTreeIdentical(g, DistinctField(331, 31), 3);
+  // Constant field: the rank order is pure id order; one plateau spans
+  // the whole graph.
+  ExpectVertexTreeIdentical(g, std::vector<double>(331, 1.0));
+  // Two-value field: ties everywhere.
+  ExpectVertexTreeIdentical(g, PlateauField(331, 2, 29));
+  ExpectVertexTreeIdentical(g, DistinctField(331, 31));
 }
 
 TEST(ParallelVertexTreeTest, DegenerateSizes) {
   // Empty graph.
-  ExpectVertexTreeIdentical(GraphBuilder(0).Build(), {}, 1);
+  ExpectVertexTreeIdentical(GraphBuilder(0).Build(), {});
   // Single vertex (no edges).
-  ExpectVertexTreeIdentical(GraphBuilder(1).Build(), {0.5}, 1);
+  ExpectVertexTreeIdentical(GraphBuilder(1).Build(), {0.5});
   // Fewer elements than any requested width: 7 threads, 3 vertices.
-  ExpectVertexTreeIdentical(Path(3), {1.0, 3.0, 2.0}, 1);
-}
-
-TEST(ParallelVertexTreeTest, SingleChunkDegradesToSequentialSweep) {
-  // min_chunk far above n forces exactly one chunk for every width.
-  Rng rng(42);
-  const Graph g = BarabasiAlbert(512, 4, &rng);
-  ExpectVertexTreeIdentical(g, DistinctField(512, 41), 1u << 20);
-}
-
-// -------------------------------------- edge tree thread-sweep identity --
-
-TEST(ParallelEdgeTreeTest, OracleFamilies) {
-  {
-    const Graph g = Path(129);
-    ExpectEdgeTreeIdentical(g, DistinctField(g.NumEdges(), 5), 16);
-    // Constant field: the whole sweep is one plateau chain.
-    ExpectEdgeTreeIdentical(g, std::vector<double>(g.NumEdges(), 2.0), 1);
-  }
-  {
-    Rng rng(1);
-    const Graph g = BarabasiAlbert(2048, 4, &rng);
-    ExpectEdgeTreeIdentical(g, DistinctField(g.NumEdges(), 2), 0);
-    ExpectEdgeTreeIdentical(g, PlateauField(g.NumEdges(), 6, 2), 64);
-  }
-}
-
-TEST(ParallelEdgeTreeTest, TrussnessFieldOnCollaborationGraph) {
-  const Graph g = Collab(1200);
-  const EdgeScalarField field = TrussnessEdgeField(g);
-  ExpectEdgeTreeIdentical(g, field.Values(), 128);
+  ExpectVertexTreeIdentical(Path(3), {1.0, 3.0, 2.0});
 }
 
 // ------------------------------------------------------ parallel metrics --
 
 TEST(ParallelMetricsTest, TriangleCountsMatchExactly) {
   const Graph g = Collab(3000);
-  const uint64_t seq_total = CountTriangles(g);
-  const std::vector<uint32_t> seq_counts = VertexTriangleCounts(g);
+  const uint64_t seq_total = CountTriangles(g, {1, 0});
+  const std::vector<uint32_t> seq_counts = VertexTriangleCounts(g, {1, 0});
   ASSERT_GT(seq_total, 0u);
   for (const uint32_t width : kWidths) {
-    EXPECT_EQ(CountTrianglesParallel(g, {width, 0}), seq_total)
-        << "width " << width;
-    EXPECT_EQ(VertexTriangleCountsParallel(g, {width, 0}), seq_counts)
+    EXPECT_EQ(CountTriangles(g, {width, 0}), seq_total) << "width " << width;
+    EXPECT_EQ(VertexTriangleCounts(g, {width, 0}), seq_counts)
         << "width " << width;
     // Tiny grain: many more blocks than lanes, ragged boundaries.
-    EXPECT_EQ(VertexTriangleCountsParallel(g, {width, 7}), seq_counts)
+    EXPECT_EQ(CountTriangles(g, {width, 7}), seq_total) << "width " << width;
+    EXPECT_EQ(VertexTriangleCounts(g, {width, 7}), seq_counts)
         << "width " << width;
   }
 }
 
 TEST(ParallelMetricsTest, ClusteringBitIdentical) {
   const Graph g = Collab(2000);
-  const std::vector<double> seq_cc = LocalClusteringCoefficients(g);
-  const double seq_avg = AverageClusteringCoefficient(g);
+  const std::vector<double> seq_cc = LocalClusteringCoefficients(g, {1, 0});
+  const double seq_avg = AverageClusteringCoefficient(g, {1, 0});
   for (const uint32_t width : kWidths) {
-    EXPECT_EQ(LocalClusteringCoefficientsParallel(g, {width, 0}), seq_cc)
-        << "width " << width;
-    EXPECT_EQ(AverageClusteringCoefficientParallel(g, {width, 0}), seq_avg)
-        << "width " << width;
+    for (const uint64_t grain : {uint64_t{0}, uint64_t{7}}) {
+      EXPECT_EQ(LocalClusteringCoefficients(g, {width, grain}), seq_cc)
+          << "width " << width << " grain " << grain;
+      EXPECT_EQ(AverageClusteringCoefficient(g, {width, grain}), seq_avg)
+          << "width " << width << " grain " << grain;
+    }
   }
 }
 
@@ -458,34 +402,6 @@ TEST(ParallelQueryTest, NnGraphIdenticalAcrossWidths) {
     const Graph par = BuildNnGraph(table, options);
     ASSERT_EQ(par.Adjacency(), seq.Adjacency()) << "width " << width;
     ASSERT_EQ(par.Offsets(), seq.Offsets()) << "width " << width;
-  }
-}
-
-// Randomized cross-check: many independent (graph, field, grain, width)
-// draws through the full vertex path. Seeds are fixed, so failures
-// reproduce; this is the chunked sweep's fuzz net under ASan/TSan.
-TEST(ParallelVertexTreeTest, RandomizedStress) {
-  Rng meta(777);
-  for (uint32_t trial = 0; trial < 12; ++trial) {
-    const uint32_t n = 64 + meta.UniformInt(1024);
-    Rng graph_rng(1000 + trial);
-    const Graph g = trial % 2 == 0
-                        ? BarabasiAlbert(n, 2 + trial % 3, &graph_rng)
-                        : ErdosRenyi(n, 0.01, &graph_rng);
-    const uint32_t levels = 1 + meta.UniformInt(8);
-    const std::vector<double> values =
-        levels == 1 ? DistinctField(n, 2000 + trial)
-                    : PlateauField(n, levels, 2000 + trial);
-    const uint64_t grain = 1 + meta.UniformInt(64);
-    const VertexScalarField field("f", values);
-    const ScalarTree seq = BuildVertexScalarTree(g, field);
-    const uint32_t width = kWidths[meta.UniformInt(4)];
-    const ScalarTree par =
-        BuildVertexScalarTreeParallel(g, field, {width, grain});
-    ASSERT_EQ(par.Parents(), seq.Parents())
-        << "trial " << trial << " n " << n << " width " << width << " grain "
-        << grain;
-    ASSERT_EQ(par.NumRoots(), seq.NumRoots()) << "trial " << trial;
   }
 }
 

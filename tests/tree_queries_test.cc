@@ -4,7 +4,8 @@
 // Analysis queries vs brute-force oracles. Members/SubtreeMembers are
 // checked against NodeOf/ancestor-walk scans; CountComponentsAtLevel and
 // PeaksAtLevel against BFS over the superlevel subgraph — on ER, BA and
-// collaboration graphs, for vertex AND edge trees. The hand-built cases
+// collaboration graphs, for vertex AND edge trees (vertex trees also on
+// path, star, sparse and degenerate shapes). The hand-built cases
 // pin the orientation-critical behavior: disconnected dense cores must
 // stay distinct peaks (the query a minima-rooted tree cannot answer).
 
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
 #include <vector>
@@ -31,6 +33,12 @@ namespace {
 Graph Path(uint32_t n) {
   GraphBuilder builder(n);
   for (uint32_t v = 0; v + 1 < n; ++v) builder.AddEdge(v, v + 1);
+  return builder.Build();
+}
+
+Graph Star(uint32_t leaves) {
+  GraphBuilder builder(leaves + 1);
+  for (uint32_t v = 1; v <= leaves; ++v) builder.AddEdge(0, v);
   return builder.Build();
 }
 
@@ -189,6 +197,36 @@ TEST(TreeQueriesTest, VertexQueriesMatchOraclesOnThreeGraphFamilies) {
       ExpectQueriesMatchOracle(*g, tree, field.Values(), false);
     }
   }
+
+  // Shapes that stress the sweep's merges and ties: a saddle mid-path,
+  // a hub, isolated vertices, a constant field, and degenerate sizes.
+  const auto check = [](const Graph& g, const std::vector<double>& values) {
+    const VertexScalarField field("f", values);
+    const SuperTree tree(BuildVertexScalarTree(g, field));
+    ExpectQueriesMatchOracle(g, tree, values, false);
+  };
+  std::vector<double> two_peak(257);
+  for (uint32_t v = 0; v < 257; ++v) {
+    const double x = static_cast<double>(v);
+    const double left = 100.0 - std::abs(60.0 - x);
+    const double right = 95.0 - std::abs(190.0 - x);
+    two_peak[v] = std::max(left, right);
+  }
+  check(Path(257), two_peak);
+  check(Star(64), RandomField(65, 9, 1u << 30).Values());
+  check(Star(64), RandomField(65, 9, 3).Values());
+  Rng rng(3);
+  const Graph sparse = ErdosRenyi(300, 0.004, &rng);
+  uint32_t isolated = 0;
+  for (VertexId v = 0; v < sparse.NumVertices(); ++v)
+    isolated += sparse.Degree(v) == 0;
+  EXPECT_GT(isolated, 0u);
+  check(sparse, RandomField(300, 21, 1u << 30).Values());
+  const Graph prime_ba = BarabasiAlbert(331, 3, &rng);
+  check(prime_ba, std::vector<double>(331, 1.0));
+  check(GraphBuilder(0).Build(), {});
+  check(GraphBuilder(1).Build(), {0.5});
+  check(Path(3), {1.0, 3.0, 2.0});
 }
 
 TEST(TreeQueriesTest, EdgeQueriesMatchOraclesOnThreeGraphFamilies) {
