@@ -6,8 +6,9 @@
 //   BM_IntersectCount_{Scalar,Simd}/<len>   balanced run-length sweep;
 //       the Simd/Scalar ratio at each length is the vectorization win
 //       (bench/compare_bench.py gates Simd >= 2x Scalar at 4096).
-//   BM_IntersectSkew_{Scalar,Gallop}/<ratio> skewed runs (short side 16);
-//       the Gallop/Scalar ratio is the exponential-search win
+//   BM_IntersectSkew_{Scalar,Gallop}/<ratio> skewed runs (short side 16)
+//       counted through the shared walk, merging or galloping; the
+//       Gallop/Scalar ratio is the exponential-search win
 //       (compare_bench.py gates Gallop >= 5x Scalar at 1:1024).
 //   BM_IntersectDensity_Simd/<hit%>          hit-density sweep at 4096:
 //       shuffle-compare cost is density-independent; this row proves it.
@@ -89,9 +90,10 @@ void BM_IntersectCount_Simd(benchmark::State& state) {
 BENCHMARK(BM_IntersectCount_Simd)->RangeMultiplier(4)->Range(64, 1 << 14);
 
 // Skewed runs: short side fixed at 16, long side 16 * ratio. Both rows
-// call the detail:: paths directly — the public Count would route the
-// scalar row through galloping too (skew >= kGallopSkewRatio), hiding
-// exactly the comparison this row exists to make.
+// count through the shared walk, detail::ForEachMatch, merging or
+// galloping — the public Count would route the scalar row through
+// galloping too (skew >= kGallopSkewRatio), hiding exactly the
+// comparison this row exists to make.
 void IntersectSkew(benchmark::State& state, bool gallop) {
   const uint32_t ratio = static_cast<uint32_t>(state.range(0));
   const uint32_t short_len = 16;
@@ -100,13 +102,11 @@ void IntersectSkew(benchmark::State& state, bool gallop) {
   const std::vector<uint32_t> a = MakeRun(short_len, 2 * long_len, &rng);
   const std::vector<uint32_t> b = MakeRun(long_len, 2 * long_len, &rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        gallop ? intersect::detail::CountGallop(
-                     a.data(), static_cast<uint32_t>(a.size()), b.data(),
-                     static_cast<uint32_t>(b.size()))
-               : intersect::detail::CountMerge(
-                     a.data(), static_cast<uint32_t>(a.size()), b.data(),
-                     static_cast<uint32_t>(b.size())));
+    uint32_t count = 0;
+    intersect::detail::ForEachMatch(
+        a.data(), a.data() + a.size(), b.data(), b.data() + b.size(), gallop,
+        [&](const uint32_t*, const uint32_t*) { ++count; });
+    benchmark::DoNotOptimize(count);
   }
   state.SetItemsProcessed(state.iterations() * (a.size() + b.size()));
 }

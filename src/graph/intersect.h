@@ -3,9 +3,9 @@
 //
 // Common-neighbor intersection over CSR adjacency runs — the one inner
 // loop all triangle-adjacent kernels share. The heavy lifting lives in
-// graph/intersect_simd.h (runtime-dispatched SSE2/AVX2 block kernels, a
-// galloping path for skewed run pairs, count-only variants); this header
-// keeps the graph-level API every metric calls.
+// graph/intersect_simd.h (one scalar merge/gallop walk, one runtime-
+// dispatched AVX2 block kernel, count-only variants); this header keeps
+// the graph-level API every metric calls.
 //
 // Preconditions (inherited by every path, vector or scalar): per-vertex
 // adjacency runs are sorted ascending and duplicate-free — exactly what
@@ -15,7 +15,8 @@
 //
 // Who calls what (keep this current when rewiring a metric):
 //
-//   count-only (never pays a callback):
+//   count-only (never pays a callback; the AVX2 kernel on balanced runs,
+//   else intersect::detail::ForEachMatch):
 //     * metrics/triangles.cc  — CountTriangles* via intersect::Count over
 //       forward (degree-oriented) runs; per-vertex tallies via
 //       intersect::Into into a reused scratch run;
@@ -25,7 +26,8 @@
 //     * metrics/nucleus.cc    — per-triangle 4-clique support:
 //       CountCommonNeighbors(a, b, c).
 //
-//   slot callback (needs WHERE each common element sits in both runs):
+//   slot callback (needs WHERE each common element sits in both runs;
+//   the same ForEachMatch walk, galloping when detail::Skewed):
 //     * metrics/ktruss.cc  — the peel demotes both side edges of every
 //       surviving triangle; the two CSR slots of w are the slots of
 //       edges {u, w} and {v, w}, so EdgeIndex::EdgeAtSlot names them
@@ -46,54 +48,12 @@
 
 namespace graphscape {
 
-namespace intersect {
-namespace detail {
-
-/// Calls on_match(pa, pb) for every element common to the sorted runs
-/// [a, ea) and [b, eb), ascending, where `a` is the shorter run. Skewed
-/// pairs gallop (exponential search through the longer run), balanced
-/// pairs take the scalar merge; both fire the identical sequence.
-template <typename OnMatch>
-inline void ForEachMatch(const VertexId* a, const VertexId* ea,
-                         const VertexId* b, const VertexId* eb,
-                         OnMatch&& on_match) {
-  const size_t na = static_cast<size_t>(ea - a);
-  const size_t nb = static_cast<size_t>(eb - b);
-  if (na == 0) return;
-  if (nb >= na * kGallopSkewRatio) {
-    // Hub-vs-leaf shape: walk the short run, gallop through the long one.
-    for (; a != ea; ++a) {
-      b = GallopSeek(b, eb, *a);
-      if (b == eb) return;
-      if (*b == *a) {
-        on_match(a, b);
-        ++b;
-      }
-    }
-    return;
-  }
-  while (a != ea && b != eb) {
-    if (*a < *b) {
-      ++a;
-    } else if (*b < *a) {
-      ++b;
-    } else {
-      on_match(a, b);
-      ++a;
-      ++b;
-    }
-  }
-}
-
-}  // namespace detail
-}  // namespace intersect
-
 /// Calls on_slots(su, sv) for every w adjacent to both u and v, ascending
 /// in w, where su and sv are w's CSR slots (indices into
 /// Graph::Adjacency()) in u's and v's runs. Those slots ARE the edges
 /// {u, w} and {v, w}, so EdgeIndex::EdgeAtSlot names both without a
 /// search. Callers that only count should use CountCommonNeighbors
-/// instead; it reaches the vectorized count kernels.
+/// instead; it reaches the vectorized count kernel.
 template <typename OnSlots>
 inline void ForEachCommonSlot(const Graph& g, VertexId u, VertexId v,
                               OnSlots&& on_slots) {
@@ -106,12 +66,14 @@ inline void ForEachCommonSlot(const Graph& g, VertexId u, VertexId v,
   if (ru.size() <= rv.size()) {
     intersect::detail::ForEachMatch(
         ru.begin(), ru.end(), rv.begin(), rv.end(),
+        intersect::detail::Skewed(ru.size(), rv.size()),
         [&](const VertexId* pu, const VertexId* pv) {
           on_slots(slot(pu), slot(pv));
         });
   } else {
     intersect::detail::ForEachMatch(
         rv.begin(), rv.end(), ru.begin(), ru.end(),
+        intersect::detail::Skewed(rv.size(), ru.size()),
         [&](const VertexId* pv, const VertexId* pu) {
           on_slots(slot(pu), slot(pv));
         });

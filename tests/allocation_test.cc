@@ -180,8 +180,7 @@ TEST(AllocationDisciplineTest, IntersectKernelsNeverAllocate) {
   uint64_t sink = 0;
 
   for (const auto kernel :
-       {intersect::Kernel::kScalar, intersect::Kernel::kSse2,
-        intersect::Kernel::kAvx2}) {
+       {intersect::Kernel::kScalar, intersect::Kernel::kAvx2}) {
     if (!intersect::KernelSupported(kernel)) continue;
     const intersect::Kernel previous = intersect::ActiveKernel();
     ASSERT_TRUE(intersect::SetKernelForTesting(kernel));

@@ -3,13 +3,13 @@
 //
 // Differential suite for the sorted-run intersection layer
 // (graph/intersect_simd.h + graph/intersect.h): every execution strategy
-// — scalar merge, galloping, SSE2, AVX2, and the public dispatched entry
+// — the merge and gallop walks, AVX2, and the public dispatched entry
 // points — must agree with a brute-force oracle and with each other, on
 // counts, on emitted elements, AND on emission order, across 10k seeded
 // adversarial run pairs (empty, disjoint, identical, 1:4096 skew,
 // all-ties at block boundaries, lengths 0/1/non-multiple-of-lane-width).
 // The suite runs under ASan/UBSan and TSan via the regular CI matrix, and
-// in the -DGRAPHSCAPE_SIMD=OFF leg, where the vector kernels report
+// in the -DGRAPHSCAPE_SIMD=OFF leg, where the vector kernel reports
 // unsupported and the dispatched paths must still pass everything.
 
 #include <gtest/gtest.h>
@@ -35,7 +35,7 @@ using intersect::Kernel;
 
 std::vector<Kernel> SupportedKernels() {
   std::vector<Kernel> kernels;
-  for (const Kernel k : {Kernel::kScalar, Kernel::kSse2, Kernel::kAvx2}) {
+  for (const Kernel k : {Kernel::kScalar, Kernel::kAvx2}) {
     if (intersect::KernelSupported(k)) kernels.push_back(k);
   }
   return kernels;
@@ -83,23 +83,23 @@ void ExpectAllPathsAgree(const std::vector<uint32_t>& a,
   const uint32_t nb = static_cast<uint32_t>(b.size());
   std::vector<uint32_t> out(std::min(a.size(), b.size()) + 1, 0xdeadbeefu);
 
-  // Non-dispatched reference paths, both orientations.
-  EXPECT_EQ(oracle.size(), intersect::detail::CountMerge(a.data(), na,
-                                                         b.data(), nb));
-  EXPECT_EQ(oracle.size(), intersect::detail::CountMerge(b.data(), nb,
-                                                         a.data(), na));
-  EXPECT_EQ(oracle.size(), intersect::detail::CountGallop(a.data(), na,
-                                                          b.data(), nb));
-  EXPECT_EQ(oracle.size(), intersect::detail::CountGallop(b.data(), nb,
-                                                          a.data(), na));
-  uint32_t got = intersect::detail::IntoMerge(a.data(), na, b.data(), nb,
-                                              out.data());
-  ASSERT_EQ(oracle.size(), got);
-  EXPECT_TRUE(std::equal(oracle.begin(), oracle.end(), out.begin()));
-  got = intersect::detail::IntoGallop(a.data(), na, b.data(), nb,
-                                      out.data());
-  ASSERT_EQ(oracle.size(), got);
-  EXPECT_TRUE(std::equal(oracle.begin(), oracle.end(), out.begin()));
+  // The shared walk, merging and galloping, in both argument orders:
+  // the same elements in the same order, each pointer at the match.
+  for (const bool gallop : {false, true}) {
+    for (const bool swapped : {false, true}) {
+      const std::vector<uint32_t>& x = swapped ? b : a;
+      const std::vector<uint32_t>& y = swapped ? a : b;
+      std::vector<uint32_t> walked;
+      intersect::detail::ForEachMatch(
+          x.data(), x.data() + x.size(), y.data(), y.data() + y.size(),
+          gallop, [&](const uint32_t* px, const uint32_t* py) {
+            EXPECT_EQ(*px, *py);
+            walked.push_back(*px);
+          });
+      EXPECT_EQ(oracle, walked)
+          << "gallop " << gallop << " swapped " << swapped;
+    }
+  }
 
   // Dispatched entry points under every kernel this machine supports.
   for (const Kernel kernel : SupportedKernels()) {
@@ -109,7 +109,8 @@ void ExpectAllPathsAgree(const std::vector<uint32_t>& a,
     EXPECT_EQ(oracle.size(), intersect::Count(b.data(), nb, a.data(), na))
         << "kernel " << intersect::KernelName(kernel);
     std::fill(out.begin(), out.end(), 0xdeadbeefu);
-    got = intersect::Into(a.data(), na, b.data(), nb, out.data());
+    const uint32_t got =
+        intersect::Into(a.data(), na, b.data(), nb, out.data());
     ASSERT_EQ(oracle.size(), got)
         << "kernel " << intersect::KernelName(kernel);
     EXPECT_TRUE(std::equal(oracle.begin(), oracle.end(), out.begin()))
@@ -124,19 +125,17 @@ TEST(IntersectKernelTest, ScalarKernelIsAlwaysSupported) {
 
 TEST(IntersectKernelTest, UnsupportedKernelIsRejected) {
 #ifdef GRAPHSCAPE_SIMD_DISABLED
-  // The SIMD-off build must refuse both vector kernels and stay scalar.
-  EXPECT_FALSE(intersect::KernelSupported(Kernel::kSse2));
+  // The SIMD-off build must refuse the vector kernel and stay scalar.
   EXPECT_FALSE(intersect::KernelSupported(Kernel::kAvx2));
   EXPECT_FALSE(intersect::SetKernelForTesting(Kernel::kAvx2));
   EXPECT_EQ(Kernel::kScalar, intersect::ActiveKernel());
 #else
-  GTEST_SKIP() << "vector kernels compiled in; nothing to reject";
+  GTEST_SKIP() << "vector kernel compiled in; nothing to reject";
 #endif
 }
 
 TEST(IntersectKernelTest, KernelNamesAreStable) {
   EXPECT_STREQ("scalar", intersect::KernelName(Kernel::kScalar));
-  EXPECT_STREQ("sse2", intersect::KernelName(Kernel::kSse2));
   EXPECT_STREQ("avx2", intersect::KernelName(Kernel::kAvx2));
 }
 
