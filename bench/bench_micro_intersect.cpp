@@ -15,8 +15,10 @@
 //   BM_IntersectCount3/<len>                 3-way count (nucleus support).
 //   BM_CountTriangles_{Scalar,Simd}          before/after rows for the
 //       end-to-end triangle pipeline on the collaboration graph.
-//   BM_TrussSupport_{Scalar,Simd}            per-edge support counting
-//       (the K-Truss front half) before/after.
+//   BM_TrussSupport_{Scalar,Simd}            one count-only intersection
+//       per edge (CountCommonNeighbors) before/after. K-Truss itself
+//       now counts support with mark arrays (metrics/ktruss.h); the
+//       rows stay as a per-edge intersection workload.
 //
 // Scalar rows force Kernel::kScalar via SetKernelForTesting, so one
 // binary produces both sides of every comparison on the same machine in
@@ -197,7 +199,8 @@ void BM_CountTriangles_Simd(benchmark::State& state) {
 }
 BENCHMARK(BM_CountTriangles_Simd);
 
-// The K-Truss front half: one count-only intersection per edge.
+// One count-only intersection per edge. This was K-Truss's support pass
+// before it moved to mark arrays; it is kept as an intersection workload.
 void TrussSupportWithKernel(benchmark::State& state, Kernel kernel) {
   const Graph g = CollabGraph(1 << 15);
   const EdgeIndex index(g);

@@ -25,9 +25,9 @@
 // v's smaller neighbors sit at the front of its sorted run and arrive
 // in that same ascending order, so the cursor lands on exactly the twin
 // with no search. After that every adjacency slot answers "which edge am
-// I?" in O(1), which is what lets the K-Truss peel, the naive dual-graph
-// construction and the per-slot sweeps stay free of hashing and binary
-// searches.
+// I?" in O(1), which is what lets K-Truss build its {neighbour, edge}
+// runs, the naive dual-graph construction and the per-slot sweeps stay
+// free of hashing and binary searches.
 
 #ifndef GRAPHSCAPE_GRAPH_EDGE_INDEX_H_
 #define GRAPHSCAPE_GRAPH_EDGE_INDEX_H_

@@ -20,23 +20,21 @@
 //     * metrics/triangles.cc  — CountTriangles* via intersect::Count over
 //       forward (degree-oriented) runs; per-vertex tallies via
 //       intersect::Into into a reused scratch run;
-//     * metrics/ktruss.cc     — CountSupport: CountCommonNeighbors(u, v);
 //     * metrics/clustering.cc — TrianglesThrough (sampled cc):
 //       CountCommonNeighbors(v, u);
 //     * metrics/nucleus.cc    — per-triangle 4-clique support:
 //       CountCommonNeighbors(a, b, c).
 //
-//   slot callback (needs WHERE each common element sits in both runs;
-//   the same ForEachMatch walk, galloping when detail::Skewed):
-//     * metrics/ktruss.cc  — the peel demotes both side edges of every
-//       surviving triangle; the two CSR slots of w are the slots of
-//       edges {u, w} and {v, w}, so EdgeIndex::EdgeAtSlot names them
-//       with no search: ForEachCommonSlot(u, v, ...).
-//
 //   element callback (needs the elements, not just the tally):
 //     * metrics/nucleus.cc — triangle enumeration (w > v filter) and the
 //       3-way peel: ForEachCommonNeighbor(u, v, ...) (a wrapper over
-//       ForEachCommonSlot) and ForEachCommonNeighbor(a, b, c, ...).
+//       ForEachCommonSlot, which has no other caller in src/) and
+//       ForEachCommonNeighbor(a, b, c, ...).
+//
+//   not here: metrics/ktruss.cc counts support and peels with mark
+//   arrays over its own runs of {neighbour, edge id} pairs, and reuses
+//   only detail::Skewed to decide when a hub's run is searched rather
+//   than walked.
 
 #ifndef GRAPHSCAPE_GRAPH_INTERSECT_H_
 #define GRAPHSCAPE_GRAPH_INTERSECT_H_

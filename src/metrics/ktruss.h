@@ -4,14 +4,23 @@
 // K-Truss decomposition — the paper's edge scalar field for dense-subgraph
 // terrains (§III, Fig. 7).
 //
-// Support counting via count-only sorted-run intersection, then the same
-// level-synchronous peel as kcore.h applied to edges: at each level k,
-// peel every edge whose support has fallen to k, and demote the two
-// surviving edges of each of its triangles. The peel walks N(u) ∩ N(v)
-// with ForEachCommonSlot, and the two CSR slots of each common neighbor
-// w are the edges {u, w} and {v, w}, so EdgeIndex::EdgeAtSlot names them
-// with no search. truss[e] = (support when peeled) + 2, so an edge in a
-// k-truss but no (k+1)-truss reports k.
+// Both halves walk per-vertex runs of {w, e} pairs (neighbour, id of
+// the edge to it) with a mark array, not sorted-run intersection.
+// Support counting: each edge is owned by its endpoint ranked higher by
+// (degree, id); a vertex marks its neighbours once, and each owned edge
+// sums the marks over the other end's (shorter) run. The peel is the
+// same level-synchronous scheme as kcore.h applied to edges: at each
+// level k, peel every edge whose support has fallen to k, and demote the
+// two surviving edges of each of its triangles. Peeling {u, v} marks the
+// shorter live run with the edge to each neighbour and walks the other,
+// and a marked w names both side edges with no search. Each walk drops
+// the peeled edge and earlier tombstones from its run, so later walks
+// pass only live edges. A hub's run is binary-searched rather than
+// walked from a leaf's side, and the peeled edge left in it as a
+// tombstone, so a star costs O(m log m), not O(m^2). truss[e] = (support
+// when peeled) + 2, so an edge in a k-truss but no (k+1)-truss reports
+// k. Truss numbers do not depend on the peel order, so the output is
+// identical for every lane count.
 
 #ifndef GRAPHSCAPE_METRICS_KTRUSS_H_
 #define GRAPHSCAPE_METRICS_KTRUSS_H_
@@ -32,9 +41,9 @@ std::vector<std::pair<VertexId, VertexId>> EdgeList(const Graph& g);
 /// truss[e] for every edge in EdgeList order; values are >= 2.
 std::vector<uint32_t> TrussNumbers(const Graph& g);
 
-/// TrussNumbers with the support-counting pass (one sorted-run
-/// intersection per edge, disjoint writes) on the pool; the peel itself
-/// is order-serial and runs on the calling thread.
+/// TrussNumbers with the support-counting pass (blocks of owner
+/// vertices, one mark array per lane, disjoint writes) on the pool; the
+/// peel itself is order-serial and runs on the calling thread.
 /// EQUAL output to TrussNumbers for every thread count.
 std::vector<uint32_t> TrussNumbersParallel(const Graph& g,
                                            const ParallelOptions& options = {});

@@ -243,10 +243,11 @@ uint64_t AllocationsDuringTrussNumbers(uint32_t n) {
 
 TEST(AllocationDisciplineTest, TrussNumbersAllocationsConstantInGraphSize) {
   // TrussNumbers allocates a fixed set of arrays up front (the EdgeIndex
-  // slot ids and its fill cursor, support, which becomes the output, the
-  // peel's live list and frontier, the peeled flags) and nothing per edge
-  // or per triangle:
-  // the peel resolves side edges from CSR slots with no scratch.
+  // slot ids and its fill cursor, freed once the {neighbour, edge} runs
+  // are built from them; the runs; support, which becomes the output;
+  // the support pass's marks; the peel's run ends and marks, and
+  // PeelByLevel's live list and frontier) and nothing per edge or per
+  // triangle: the peel compacts the runs in place.
   const uint64_t small = AllocationsDuringTrussNumbers(1 << 8);
   const uint64_t large = AllocationsDuringTrussNumbers(1 << 14);
   EXPECT_EQ(small, large)

@@ -126,10 +126,12 @@ TEST(TrussOracleTest, HubPlusCliqueTakesTheGallopPath) {
   // Vertex 0 is a hub over 300 leaves and sits in an 8-clique; the leaves
   // form small triangles and 4-cliques through the hub, or hang off one
   // clique member. Every hub-leaf edge pairs a run of ~300 with one of
-  // 2-5, past kGallopSkewRatio, so the peel's slot intersection takes
-  // its galloping branch. A hanging leaf x on member y makes the
-  // low-support edge {0, x} demote the high-support {0, y}: a gallop
-  // that drops a match changes truss[{0, y}].
+  // 2-5, past kGallopSkewRatio: the hub skew the mark passes must
+  // handle. Support counting scans the leaf's short run from the hub's
+  // side, and each hub-leaf peel searches the hub's run for the leaf's
+  // neighbours instead of walking it. A hanging leaf x on member y makes
+  // the low-support edge {0, x} demote the high-support {0, y}: a search
+  // that misses a live triangle changes truss[{0, y}].
   for (const uint64_t seed : {21u, 22u}) {
     SCOPED_TRACE(seed);
     Rng rng(seed);
@@ -162,6 +164,79 @@ TEST(TrussOracleTest, HubPlusCliqueTakesTheGallopPath) {
     ASSERT_TRUE(skewed_pair);
     ExpectMatchesOracle(g);
   }
+}
+
+TEST(TrussOracleTest, SearchedHubRunsSkipPeeledEdges) {
+  // Hub 0 has 200 pendant leaves, and vertex 1 sits in 20 4-cliques
+  // {1, x, c, c'} whose x also touches the hub. Each {0, x} closes one
+  // triangle and peels at level 1 while {1, x} lives on to level 2.
+  // x's run is short next to the hub's, so that peel searches the hub's
+  // run and leaves a tombstone there. Peeling {0, 1} later walks the
+  // hub's run against vertex 1's live edges to every x: a tombstone
+  // taken for a live edge would demote {1, x} and break its 4-truss.
+  const uint32_t gadgets = 20, leaves = 200;
+  GraphBuilder builder(2 + 3 * gadgets + leaves);
+  builder.AddEdge(0, 1);
+  for (VertexId i = 0; i < gadgets; ++i) {
+    const VertexId x = 2 + 3 * i;
+    AddClique({1, x, x + 1, x + 2}, &builder);
+    builder.AddEdge(0, x);
+  }
+  for (VertexId v = 2 + 3 * gadgets; v < 2 + 3 * gadgets + leaves; ++v) {
+    builder.AddEdge(0, v);
+  }
+  const Graph g = builder.Build();
+  ASSERT_TRUE(intersect::detail::Skewed(g.Degree(2), g.Degree(0)));
+  ASSERT_FALSE(intersect::detail::Skewed(g.Degree(1), g.Degree(0)));
+  ExpectMatchesOracle(g);
+}
+
+TEST(TrussOracleTest, OwnershipTieBreaks) {
+  // Support counting credits each edge to the endpoint ranked higher by
+  // (degree, id). Where degrees tie, only the id decides; an edge owned
+  // by neither endpoint or by both shows as a wrong truss number.
+  {
+    SCOPED_TRACE("K_8");  // every degree is 7
+    GraphBuilder builder(8);
+    AddClique({0, 1, 2, 3, 4, 5, 6, 7}, &builder);
+    ExpectMatchesOracle(builder.Build());
+  }
+  {
+    SCOPED_TRACE("ring of K_5s");  // degrees 4 and 5
+    const uint32_t cliques = 6;
+    GraphBuilder builder(5 * cliques);
+    for (VertexId c = 0; c < cliques; ++c) {
+      const VertexId b = 5 * c;
+      AddClique({b, b + 1, b + 2, b + 3, b + 4}, &builder);
+      builder.AddEdge(b + 4, (b + 5) % (5 * cliques));
+    }
+    ExpectMatchesOracle(builder.Build());
+  }
+  {
+    // The hub has the highest id and the highest degree; pairs of its
+    // leaves close triangles through it, so hub-leaf edges carry support.
+    SCOPED_TRACE("clique plus 200 leaves on the highest-id hub");
+    const uint32_t leaves = 200;
+    const VertexId hub = 6 + leaves;
+    GraphBuilder builder(hub + 1);
+    AddClique({0, 1, 2, 3, 4, 5, hub}, &builder);
+    for (VertexId v = 6; v < hub; ++v) builder.AddEdge(v, hub);
+    for (VertexId v = 6; v + 1 < hub; v += 3) builder.AddEdge(v, v + 1);
+    ExpectMatchesOracle(builder.Build());
+  }
+}
+
+TEST(TrussOracleTest, ParallelSupportSpansSeveralBlocks) {
+  // Support counting splits the owner vertices into blocks of
+  // options.grain. At ExpectMatchesOracle's grain of 8, a 300-vertex
+  // graph spans 38 blocks, so every lane of a 4-lane run takes blocks
+  // and writes through its own marks.
+  Rng rng(31);
+  const Graph g = ErdosRenyi(300, 0.05, &rng);
+  const ParallelOptions options{4, /*grain=*/8};
+  ASSERT_GT((g.NumVertices() + options.grain - 1) / options.grain, 1u);
+  ASSERT_EQ(EffectiveLanes(options, g.NumVertices()), 4u);
+  ExpectMatchesOracle(g);
 }
 
 TEST(TrussOracleTest, DegenerateGraphs) {
