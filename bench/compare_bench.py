@@ -34,12 +34,11 @@ Tracked rows:
     informational readout today; a row given a min_speedup gates ONLY
     when the runner reports enough cores (context.num_cpus >= 4).
 
-  * Kernel speedups for the sorted-run intersection layer (docs/SIMD.md):
-    within the CURRENT run, the scalar merge's real_time over the
-    dispatched SIMD row (gates >= 2x on balanced 4096-element runs) and
-    over the galloping row (gates >= 5x at 1:1024 skew). Both sides come
-    from the same bench_micro_intersect process, so the comparison is
-    machine-independent.
+  * The galloping speedup of the sorted-run intersection layer
+    (docs/ARCHITECTURE.md): within the CURRENT run, the scalar merge's
+    real_time over the galloping row's (gates >= 5x at 1:1024 skew).
+    Both sides come from the same bench_micro_intersect process, so the
+    comparison is machine-independent.
 
   * Table II construction times, aggregated: the sum of tc over all
     KC(v) rows, the sum over all KT(e) rows, and the sum of the numeric
@@ -88,14 +87,11 @@ TRACKED_BENCHMARKS = [
     # Query service (docs/SERVICE.md): mixed-workload throughput over the
     # loopback wire protocol, from bench_service_qps's BENCH_service.json.
     "SVC_MixedQps",
-    # Sorted-run intersection layer (docs/SIMD.md): the dispatched kernel
-    # on balanced 4096-element runs, the galloping path at 1:1024 skew,
-    # and the triangle-adjacent end-to-end rows they feed.
-    "BM_IntersectCount_Simd/4096",
+    # Sorted-run intersection layer (docs/ARCHITECTURE.md): the galloping
+    # path at 1:1024 skew and the 3-way count; then the triangle mark
+    # passes' end-to-end row.
     "BM_IntersectSkew_Gallop/ratio:1024",
     "BM_IntersectCount3/1024",
-    "BM_CountTriangles_Simd",
-    "BM_TrussSupport_Simd",
     "BM_TriangleCount/65536",
 ]
 
@@ -126,14 +122,12 @@ SCALING_CHECKS = [
      "BM_SpringLayoutParallel/threads:4", 4, None),
 ]
 
-# Kernel-vs-scalar readout (docs/SIMD.md): within the CURRENT run, the
-# scalar row's real_time over the dispatched/galloping row's, from
-# bench_micro_intersect's forced-kernel pairs. Unlike SCALING_CHECKS
-# these gate unconditionally — vectorization and exponential search need
-# no extra cores. Rows missing from the run (e.g. a -DGRAPHSCAPE_SIMD=OFF
-# build whose bench was filtered out) are skipped, not failed.
+# Gallop-vs-merge readout (docs/ARCHITECTURE.md): within the CURRENT
+# run, the merge row's real_time over the galloping row's, from
+# bench_micro_intersect. Unlike SCALING_CHECKS these gate
+# unconditionally — exponential search needs no extra cores. Rows
+# missing from the run (a bench filtered out) are skipped, not failed.
 KERNEL_CHECKS = [
-    ("BM_IntersectCount_Scalar/4096", "BM_IntersectCount_Simd/4096", 2.0),
     ("BM_IntersectSkew_Scalar/ratio:1024",
      "BM_IntersectSkew_Gallop/ratio:1024", 5.0),
 ]

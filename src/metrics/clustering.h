@@ -6,12 +6,8 @@
 //
 // cc(v) = 2·t(v) / (deg(v)·(deg(v)−1)) where t(v) is the number of
 // triangles through v; vertices of degree < 2 report 0 (the networkx
-// convention, so averages are comparable). The exact path reuses the
-// degree-ordered CSR intersection kernel behind VertexTriangleCounts —
-// O(Σ deg²) worst case, sequential sorted-run merges in practice. The
-// sampled path bounds that cost for huge graphs: it computes cc exactly
-// on a uniform without-replacement vertex sample, an unbiased estimator
-// of the exact average.
+// convention, so averages are comparable). t(v) comes from
+// VertexTriangleCounts' mark passes over degree-ordered forward runs.
 
 #ifndef GRAPHSCAPE_METRICS_CLUSTERING_H_
 #define GRAPHSCAPE_METRICS_CLUSTERING_H_
@@ -20,7 +16,6 @@
 #include <vector>
 
 #include "common/parallel.h"
-#include "common/rng.h"
 #include "graph/graph.h"
 
 namespace graphscape {
@@ -37,13 +32,6 @@ std::vector<double> LocalClusteringCoefficients(
 /// every thread count.
 double AverageClusteringCoefficient(const Graph& g,
                                     const ParallelOptions& options = {});
-
-/// Unbiased estimate of AverageClusteringCoefficient from cc computed
-/// exactly on `num_samples` vertices drawn uniformly without replacement
-/// (partial Fisher–Yates). num_samples >= NumVertices() degrades to the
-/// exact average.
-double SampledAverageClusteringCoefficient(const Graph& g,
-                                           uint32_t num_samples, Rng* rng);
 
 /// Transitivity: 3·(#triangles) / (#wedges). Not the same statistic as
 /// the average local coefficient — hub-heavy graphs typically score much

@@ -9,7 +9,7 @@
 #include "common/parallel.h"
 #include "common/peel_by_level.h"
 #include "graph/edge_index.h"
-#include "graph/intersect_simd.h"
+#include "graph/intersect.h"
 
 namespace graphscape {
 

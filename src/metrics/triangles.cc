@@ -3,156 +3,155 @@
 
 #include "metrics/triangles.h"
 
-#include <algorithm>
-
-#include "graph/intersect.h"
+#include <numeric>
 
 namespace graphscape {
 namespace {
 
 // Degree order with id tie-break; orienting edges low -> high makes the
 // out-degree of every vertex O(sqrt(m)) on any graph.
-inline bool Before(const std::vector<uint32_t>& deg, VertexId a, VertexId b) {
-  return deg[a] < deg[b] || (deg[a] == deg[b] && a < b);
+inline bool Before(const Graph& g, VertexId a, VertexId b) {
+  const uint32_t da = g.Degree(a), db = g.Degree(b);
+  return da < db || (da == db && a < b);
 }
 
 // The degree-oriented DAG in CSR form: fwd run of u = neighbors v with u
-// Before v, still sorted ascending by id (filtering a sorted CSR run
-// keeps its order). Every triangle {u, v, w} has exactly one source —
-// its degree-least vertex — and appears exactly once as w ∈ fwd(u) ∩
-// fwd(v) for v ∈ fwd(u). The runs being sorted and duplicate-free is
-// what lets the intersections go through the SIMD/galloping kernels
-// (graph/intersect_simd.h).
+// Before v, ascending by id. Every triangle {u, v, w} has exactly one
+// source — its degree-least vertex u — and appears exactly once as w ∈
+// fwd(u) ∩ fwd(v) for v ∈ fwd(u).
 struct ForwardAdjacency {
   std::vector<uint32_t> offsets;  // n + 1
-  std::vector<VertexId> targets;  // m
-  uint32_t max_out_degree = 0;    // scratch sizing for Into() callers
+  std::vector<VertexId> targets;  // m, plus one slot the copy writes past
 
-  const VertexId* Run(VertexId u) const { return targets.data() + offsets[u]; }
-  uint32_t RunLength(VertexId u) const {
-    return offsets[u + 1] - offsets[u];
+  const VertexId* Begin(VertexId u) const {
+    return targets.data() + offsets[u];
+  }
+  const VertexId* End(VertexId u) const {
+    return targets.data() + offsets[u + 1];
   }
 };
 
-ForwardAdjacency BuildForward(const Graph& g,
-                              const std::vector<uint32_t>& deg) {
+// One pass of random degree reads decides every CSR slot's direction into
+// a byte per slot; the copy pass then reads the slots in order, without
+// a branch.
+ForwardAdjacency BuildForward(const Graph& g) {
   const uint32_t n = g.NumVertices();
+  const std::vector<VertexId>& adj = g.Adjacency();
+  const std::vector<uint32_t>& slots = g.Offsets();
+  std::vector<uint8_t> forward(adj.size());
   ForwardAdjacency fwd;
   fwd.offsets.assign(n + 1, 0);
   for (VertexId u = 0; u < n; ++u) {
     uint32_t out = 0;
-    for (const VertexId v : g.Neighbors(u)) {
-      if (Before(deg, u, v)) ++out;
+    for (uint32_t s = slots[u]; s < slots[u + 1]; ++s) {
+      forward[s] = Before(g, u, adj[s]);
+      out += forward[s];
     }
     fwd.offsets[u + 1] = fwd.offsets[u] + out;
-    fwd.max_out_degree = std::max(fwd.max_out_degree, out);
   }
-  fwd.targets.resize(fwd.offsets[n]);
-  for (VertexId u = 0; u < n; ++u) {
-    uint32_t next = fwd.offsets[u];
-    for (const VertexId v : g.Neighbors(u)) {
-      if (Before(deg, u, v)) fwd.targets[next++] = v;
-    }
+  fwd.targets.resize(fwd.offsets[n] + 1);
+  uint32_t next = 0;
+  for (size_t s = 0; s < adj.size(); ++s) {
+    fwd.targets[next] = adj[s];
+    next += forward[s];
   }
   return fwd;
 }
 
-// Count-only per-pivot tally: triangles sourced at u. The lanes
-// partition work by pivot; integer partial sums are
-// partition-invariant, so thread count can never show through.
-inline uint64_t TrianglesFromPivot(const ForwardAdjacency& fwd, VertexId u) {
-  uint64_t count = 0;
-  const VertexId* run = fwd.Run(u);
-  const uint32_t len = fwd.RunLength(u);
-  for (uint32_t k = 0; k < len; ++k) {
-    const VertexId v = run[k];
-    count += intersect::Count(run, len, fwd.Run(v), fwd.RunLength(v));
-  }
-  return count;
+// Pivot vertices in ParallelForBlocks blocks of `grain`, and the lanes
+// that run them: what per-lane and per-block arrays are sized by.
+struct PivotBlocks {
+  uint64_t grain;
+  uint64_t count;
+  uint32_t lanes;
+};
+
+PivotBlocks Blocks(uint32_t n, const ParallelOptions& options) {
+  const uint64_t grain = internal::ResolveGrain(options.grain, 1024);
+  const uint64_t count = (n + grain - 1) / grain;
+  return {grain, count, EffectiveLanes({options.num_threads, 1}, count)};
 }
 
-// Per-vertex tally from pivot u: each common neighbor w of (u, v ∈
-// fwd(u)) closes one triangle touching u, v, and w. Needs the elements,
-// so it goes through intersect::Into into the caller's reused scratch
-// run (sized fwd.max_out_degree — never reallocated in the loop).
-inline void VertexTrianglesFromPivot(const ForwardAdjacency& fwd, VertexId u,
-                                     VertexId* scratch, uint32_t* counts) {
-  const VertexId* run = fwd.Run(u);
-  const uint32_t len = fwd.RunLength(u);
-  for (uint32_t k = 0; k < len; ++k) {
-    const VertexId v = run[k];
-    const uint32_t hits =
-        intersect::Into(run, len, fwd.Run(v), fwd.RunLength(v), scratch);
-    counts[u] += hits;
-    counts[v] += hits;
-    for (uint32_t h = 0; h < hits; ++h) ++counts[scratch[h]];
-  }
-}
-
-std::vector<uint32_t> Degrees(const Graph& g, const ParallelOptions& options) {
-  std::vector<uint32_t> deg(g.NumVertices());
-  ParallelFor(0, deg.size(), options,
-              [&](uint64_t v) { deg[v] = g.Degree(static_cast<VertexId>(v)); });
-  return deg;
+// Calls visit(u, mark, block, lane) for every pivot u, with `mark` the
+// running lane's n bytes, set at exactly fwd(u). Every lane's marks are
+// allocated here on the calling thread, before the region.
+template <typename Visit>
+void ForEachMarkedPivot(const ForwardAdjacency& fwd, const PivotBlocks& blocks,
+                        const ParallelOptions& options, Visit&& visit) {
+  const uint32_t n = static_cast<uint32_t>(fwd.offsets.size() - 1);
+  std::vector<uint8_t> marks(static_cast<size_t>(blocks.lanes) * n, 0);
+  ParallelForBlocks(blocks.count, options, [&](uint64_t block, uint32_t lane) {
+    uint8_t* mark = marks.data() + static_cast<size_t>(lane) * n;
+    const uint64_t lo = block * blocks.grain;
+    const uint64_t hi = lo + blocks.grain < n ? lo + blocks.grain : n;
+    for (uint64_t i = lo; i < hi; ++i) {
+      const VertexId u = static_cast<VertexId>(i);
+      if (fwd.End(u) - fwd.Begin(u) < 2) continue;  // closes no triangle
+      for (const VertexId* v = fwd.Begin(u); v != fwd.End(u); ++v) mark[*v] = 1;
+      visit(u, mark, block, lane);
+      for (const VertexId* v = fwd.Begin(u); v != fwd.End(u); ++v) mark[*v] = 0;
+    }
+  });
 }
 
 }  // namespace
 
 uint64_t CountTriangles(const Graph& g, const ParallelOptions& options) {
-  const uint32_t n = g.NumVertices();
-  const std::vector<uint32_t> deg = Degrees(g, options);
-  const ForwardAdjacency fwd = BuildForward(g, deg);
-  // Fixed-order sum of per-block integer partials: exact, so the
-  // blocking (and therefore the thread count) cannot show through.
-  return ParallelReduce<uint64_t>(
-      0, n, options, 0,
-      [&](uint64_t u, uint64_t* acc) {
-        *acc += TrianglesFromPivot(fwd, static_cast<VertexId>(u));
-      },
-      [](uint64_t total, uint64_t partial) { return total + partial; });
+  const ForwardAdjacency fwd = BuildForward(g);
+  const PivotBlocks blocks = Blocks(g.NumVertices(), options);
+  // Integer partials per block: exact, so neither the blocking nor which
+  // lane ran a block can show through.
+  std::vector<uint64_t> partials(blocks.count, 0);
+  ForEachMarkedPivot(
+      fwd, blocks, options,
+      [&](VertexId u, const uint8_t* mark, uint64_t block, uint32_t) {
+        uint64_t count = 0;
+        for (const VertexId* v = fwd.Begin(u); v != fwd.End(u); ++v) {
+          for (const VertexId* w = fwd.Begin(*v); w != fwd.End(*v); ++w) {
+            count += mark[*w];
+          }
+        }
+        partials[block] += count;
+      });
+  return std::accumulate(partials.begin(), partials.end(), uint64_t{0});
 }
 
 std::vector<uint32_t> VertexTriangleCounts(const Graph& g,
                                            const ParallelOptions& options) {
   const uint32_t n = g.NumVertices();
-  const uint32_t threads =
-      options.num_threads == 0 ? DefaultThreads() : options.num_threads;
-  const uint64_t grain = options.grain == 0 ? 512 : options.grain;
-  const uint64_t num_blocks = (n + grain - 1) / grain;
-  // Must match what ParallelForBlocks below resolves to, so every lane
-  // id the body sees has an arena.
-  const uint32_t lanes = std::max(1u, EffectiveLanes({threads, 1}, num_blocks));
-  const std::vector<uint32_t> deg = Degrees(g, options);
-  const ForwardAdjacency fwd = BuildForward(g, deg);
+  const ForwardAdjacency fwd = BuildForward(g);
+  const PivotBlocks blocks = Blocks(n, options);
 
-  // Per-lane count arenas plus one Into() scratch run per lane, all
-  // allocated up front on the calling thread; a pivot's tallies go to
-  // its lane's arena, so lanes never share mutable state. Which arena a
-  // triangle lands in varies run to run (blocks are claimed
-  // dynamically), but the per-vertex SUM over arenas is an integer and
-  // therefore partition-invariant.
-  std::vector<std::vector<uint32_t>> arenas(lanes);
-  for (std::vector<uint32_t>& arena : arenas) arena.assign(n, 0);
-  std::vector<std::vector<VertexId>> scratch(lanes);
-  for (std::vector<VertexId>& s : scratch) s.assign(fwd.max_out_degree, 0);
-  ParallelForBlocks(num_blocks, {threads, 0},
-                    [&](uint64_t block, uint32_t lane) {
-                      const uint64_t lo = block * grain;
-                      const uint64_t hi = lo + grain < n ? lo + grain : n;
-                      for (uint64_t u = lo; u < hi; ++u) {
-                        VertexTrianglesFromPivot(
-                            fwd, static_cast<VertexId>(u),
-                            scratch[lane].data(), arenas[lane].data());
-                      }
-                    });
-  if (lanes == 1) return std::move(arenas[0]);
+  // One n-sized count arena per lane; a pivot's tallies go to its lane's
+  // arena, so lanes never share mutable state. Which arena a triangle
+  // lands in varies run to run (blocks are claimed dynamically), but the
+  // per-vertex SUM over arenas is an integer and therefore
+  // partition-invariant.
+  std::vector<uint32_t> arenas(static_cast<size_t>(blocks.lanes) * n, 0);
+  ForEachMarkedPivot(
+      fwd, blocks, options,
+      [&](VertexId u, const uint8_t* mark, uint64_t, uint32_t lane) {
+        uint32_t* counts = arenas.data() + static_cast<size_t>(lane) * n;
+        for (const VertexId* v = fwd.Begin(u); v != fwd.End(u); ++v) {
+          uint32_t hits = 0;
+          for (const VertexId* w = fwd.Begin(*v); w != fwd.End(*v); ++w) {
+            if (mark[*w] != 0) {
+              ++counts[*w];
+              ++hits;
+            }
+          }
+          counts[*v] += hits;
+          counts[u] += hits;
+        }
+      });
+  if (blocks.lanes <= 1) return arenas;
 
-  // Fixed lane-order reduction (integer, so order is moot — kept fixed
-  // anyway to match the documented contract).
   std::vector<uint32_t> counts(n, 0);
   ParallelFor(0, n, options, [&](uint64_t v) {
     uint32_t total = 0;
-    for (uint32_t lane = 0; lane < lanes; ++lane) total += arenas[lane][v];
+    for (uint32_t lane = 0; lane < blocks.lanes; ++lane) {
+      total += arenas[static_cast<size_t>(lane) * n + v];
+    }
     counts[v] = total;
   });
   return counts;

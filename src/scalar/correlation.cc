@@ -9,7 +9,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "graph/intersect_simd.h"
+#include "graph/intersect.h"
 #include "scalar/tree_core.h"
 #include "scalar/tree_queries.h"
 

@@ -19,7 +19,6 @@
 #include "community/bigclam.h"
 #include "gen/generators.h"
 #include "graph/intersect.h"
-#include "graph/intersect_simd.h"
 #include "layout/spring_layout.h"
 #include "metrics/kcore.h"
 #include "metrics/ktruss.h"
@@ -170,38 +169,25 @@ TEST(AllocationDisciplineTest, MemberIndexBuildAllocatesConstantArrays) {
 }
 
 TEST(AllocationDisciplineTest, IntersectKernelsNeverAllocate) {
-  // The intersection layer (graph/intersect_simd.h) is allocation-free by
-  // contract: zero heap allocations across Count/Count3/Into and the
-  // ForEachCommonNeighbor wrappers, for every dispatchable kernel. Count3
-  // in particular must keep its pair-intersection scratch on the stack.
+  // The intersection layer (graph/intersect.h) is allocation-free by
+  // contract: zero heap allocations across Count/Count3 and the
+  // ForEachCommonNeighbor wrappers.
   Rng rng(42);
   const Graph g = BarabasiAlbert(1 << 10, 4, &rng);
-  std::vector<uint32_t> scratch(g.NumVertices());
   uint64_t sink = 0;
-
-  for (const auto kernel :
-       {intersect::Kernel::kScalar, intersect::Kernel::kAvx2}) {
-    if (!intersect::KernelSupported(kernel)) continue;
-    const intersect::Kernel previous = intersect::ActiveKernel();
-    ASSERT_TRUE(intersect::SetKernelForTesting(kernel));
-    const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-    for (VertexId u = 0; u < 64; ++u) {
-      for (VertexId v = u + 1; v < 64; ++v) {
-        sink += CountCommonNeighbors(g, u, v);
-        sink += CountCommonNeighbors(g, u, v, (u + v) % g.NumVertices());
-        const Graph::NeighborRange ru = g.Neighbors(u);
-        const Graph::NeighborRange rv = g.Neighbors(v);
-        sink += intersect::Into(ru.begin(), ru.size(), rv.begin(), rv.size(),
-                                scratch.data());
-        ForEachCommonNeighbor(g, u, v, [&](VertexId w) { sink += w; });
-      }
+  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (VertexId u = 0; u < 64; ++u) {
+    for (VertexId v = u + 1; v < 64; ++v) {
+      const Graph::NeighborRange ru = g.Neighbors(u);
+      const Graph::NeighborRange rv = g.Neighbors(v);
+      sink += intersect::Count(ru.begin(), ru.size(), rv.begin(), rv.size());
+      sink += CountCommonNeighbors(g, u, v, (u + v) % g.NumVertices());
+      ForEachCommonNeighbor(g, u, v, [&](VertexId w) { sink += w; });
     }
-    const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
-    intersect::SetKernelForTesting(previous);
-    EXPECT_EQ(before, after)
-        << "kernel " << intersect::KernelName(kernel)
-        << " allocated inside the intersection hot path";
   }
+  const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(before, after)
+      << "something allocated inside the intersection hot path";
   EXPECT_GT(sink, 0u);
 }
 
@@ -220,9 +206,8 @@ uint64_t AllocationsDuringTriangleCount(uint32_t n) {
 TEST(AllocationDisciplineTest, TriangleCountAllocationsConstantInGraphSize) {
   // On one lane, CountTriangles/VertexTriangleCounts allocate a fixed
   // set of arrays up front (the degrees, the forward adjacency's offsets
-  // + targets, the block partials or the one count arena, one
-  // intersection scratch buffer) and nothing per vertex or per
-  // intersection inside the sweep.
+  // + targets, the marks, and the block partials or the one count arena)
+  // and nothing per vertex or per pivot inside the sweep.
   const uint64_t small = AllocationsDuringTriangleCount(1 << 8);
   const uint64_t large = AllocationsDuringTriangleCount(1 << 14);
   EXPECT_EQ(small, large)

@@ -2,56 +2,31 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // Differential suite for the sorted-run intersection layer
-// (graph/intersect_simd.h + graph/intersect.h): every execution strategy
-// — the merge and gallop walks, AVX2, and the public dispatched entry
-// points — must agree with a brute-force oracle and with each other, on
-// counts, on emitted elements, AND on emission order, across 10k seeded
-// adversarial run pairs (empty, disjoint, identical, 1:4096 skew,
-// all-ties at block boundaries, lengths 0/1/non-multiple-of-lane-width).
-// The suite runs under ASan/UBSan and TSan via the regular CI matrix, and
-// in the -DGRAPHSCAPE_SIMD=OFF leg, where the vector kernel reports
-// unsupported and the dispatched paths must still pass everything.
+// (graph/intersect.h): the merge and gallop walks and the entry points
+// built on them must agree with a brute-force oracle and with each other,
+// on counts, on emitted elements, AND on emission order, across 10k
+// seeded adversarial run pairs (empty, disjoint, identical, 1:4096 skew,
+// all-ties, lengths 0/1). The triangle mark passes, which share no code
+// with this layer, are pinned here against a per-edge
+// std::set_intersection oracle. The suite runs under ASan/UBSan and TSan
+// via the regular CI matrix.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "gen/generators.h"
 #include "graph/graph_builder.h"
 #include "graph/intersect.h"
-#include "graph/intersect_simd.h"
-#include "metrics/clustering.h"
-#include "metrics/ktruss.h"
-#include "metrics/nucleus.h"
 #include "metrics/triangles.h"
 
 namespace graphscape {
 namespace {
-
-using intersect::Kernel;
-
-std::vector<Kernel> SupportedKernels() {
-  std::vector<Kernel> kernels;
-  for (const Kernel k : {Kernel::kScalar, Kernel::kAvx2}) {
-    if (intersect::KernelSupported(k)) kernels.push_back(k);
-  }
-  return kernels;
-}
-
-// Restores the process-wide dispatch no matter how a test exits.
-class ScopedKernel {
- public:
-  explicit ScopedKernel(Kernel kernel) : previous_(intersect::ActiveKernel()) {
-    EXPECT_TRUE(intersect::SetKernelForTesting(kernel));
-  }
-  ~ScopedKernel() { intersect::SetKernelForTesting(previous_); }
-
- private:
-  Kernel previous_;
-};
 
 std::vector<uint32_t> OracleIntersect(const std::vector<uint32_t>& a,
                                       const std::vector<uint32_t>& b) {
@@ -81,7 +56,6 @@ void ExpectAllPathsAgree(const std::vector<uint32_t>& a,
   const std::vector<uint32_t> oracle = OracleIntersect(a, b);
   const uint32_t na = static_cast<uint32_t>(a.size());
   const uint32_t nb = static_cast<uint32_t>(b.size());
-  std::vector<uint32_t> out(std::min(a.size(), b.size()) + 1, 0xdeadbeefu);
 
   // The shared walk, merging and galloping, in both argument orders:
   // the same elements in the same order, each pointer at the match.
@@ -101,42 +75,8 @@ void ExpectAllPathsAgree(const std::vector<uint32_t>& a,
     }
   }
 
-  // Dispatched entry points under every kernel this machine supports.
-  for (const Kernel kernel : SupportedKernels()) {
-    ScopedKernel scoped(kernel);
-    EXPECT_EQ(oracle.size(), intersect::Count(a.data(), na, b.data(), nb))
-        << "kernel " << intersect::KernelName(kernel);
-    EXPECT_EQ(oracle.size(), intersect::Count(b.data(), nb, a.data(), na))
-        << "kernel " << intersect::KernelName(kernel);
-    std::fill(out.begin(), out.end(), 0xdeadbeefu);
-    const uint32_t got =
-        intersect::Into(a.data(), na, b.data(), nb, out.data());
-    ASSERT_EQ(oracle.size(), got)
-        << "kernel " << intersect::KernelName(kernel);
-    EXPECT_TRUE(std::equal(oracle.begin(), oracle.end(), out.begin()))
-        << "kernel " << intersect::KernelName(kernel);
-  }
-}
-
-TEST(IntersectKernelTest, ScalarKernelIsAlwaysSupported) {
-  EXPECT_TRUE(intersect::KernelSupported(Kernel::kScalar));
-  EXPECT_TRUE(intersect::SetKernelForTesting(intersect::ActiveKernel()));
-}
-
-TEST(IntersectKernelTest, UnsupportedKernelIsRejected) {
-#ifdef GRAPHSCAPE_SIMD_DISABLED
-  // The SIMD-off build must refuse the vector kernel and stay scalar.
-  EXPECT_FALSE(intersect::KernelSupported(Kernel::kAvx2));
-  EXPECT_FALSE(intersect::SetKernelForTesting(Kernel::kAvx2));
-  EXPECT_EQ(Kernel::kScalar, intersect::ActiveKernel());
-#else
-  GTEST_SKIP() << "vector kernel compiled in; nothing to reject";
-#endif
-}
-
-TEST(IntersectKernelTest, KernelNamesAreStable) {
-  EXPECT_STREQ("scalar", intersect::KernelName(Kernel::kScalar));
-  EXPECT_STREQ("avx2", intersect::KernelName(Kernel::kAvx2));
+  EXPECT_EQ(oracle.size(), intersect::Count(a.data(), na, b.data(), nb));
+  EXPECT_EQ(oracle.size(), intersect::Count(b.data(), nb, a.data(), na));
 }
 
 TEST(IntersectDifferentialTest, HandPickedAdversarialPairs) {
@@ -213,23 +153,18 @@ TEST(IntersectDifferentialTest, ThreeWayCountMatchesOracle) {
         MakeRun(static_cast<uint32_t>(rng.UniformInt(300)), universe, &rng);
     const std::vector<uint32_t> c =
         MakeRun(static_cast<uint32_t>(rng.UniformInt(300)), universe, &rng);
-    const size_t expected = OracleIntersect3(a, b, c).size();
-    for (const Kernel kernel : SupportedKernels()) {
-      ScopedKernel scoped(kernel);
-      EXPECT_EQ(expected,
-                intersect::Count3(a.data(), static_cast<uint32_t>(a.size()),
-                                  b.data(), static_cast<uint32_t>(b.size()),
-                                  c.data(), static_cast<uint32_t>(c.size())))
-          << "trial " << trial << " kernel "
-          << intersect::KernelName(kernel);
-    }
+    EXPECT_EQ(OracleIntersect3(a, b, c).size(),
+              intersect::Count3(a.data(), static_cast<uint32_t>(a.size()),
+                                b.data(), static_cast<uint32_t>(b.size()),
+                                c.data(), static_cast<uint32_t>(c.size())))
+        << "trial " << trial;
   }
 }
 
 TEST(IntersectDifferentialTest, ThreeWayCountCrossesChunkBoundaries) {
-  // Runs longer than the 256-element internal chunk, dense overlap: the
-  // chunked pair pass plus the galloping filter must not drop or double
-  // count matches at chunk seams.
+  // Long runs with dense overlap: every pair match gallops through the
+  // longest run from the last survivor, and none may be dropped or
+  // counted twice.
   std::vector<uint32_t> a, b, c;
   for (uint32_t i = 0; i < 1500; ++i) {
     a.push_back(i);
@@ -238,29 +173,26 @@ TEST(IntersectDifferentialTest, ThreeWayCountCrossesChunkBoundaries) {
   }
   const size_t expected = OracleIntersect3(a, b, c).size();  // i % 6 == 0
   ASSERT_EQ(expected, 250u);
-  for (const Kernel kernel : SupportedKernels()) {
-    ScopedKernel scoped(kernel);
-    EXPECT_EQ(expected,
-              intersect::Count3(a.data(), static_cast<uint32_t>(a.size()),
-                                b.data(), static_cast<uint32_t>(b.size()),
-                                c.data(), static_cast<uint32_t>(c.size())));
-  }
+  EXPECT_EQ(expected,
+            intersect::Count3(a.data(), static_cast<uint32_t>(a.size()),
+                              b.data(), static_cast<uint32_t>(b.size()),
+                              c.data(), static_cast<uint32_t>(c.size())));
 }
 
 TEST(IntersectGraphApiTest, CallbackWrapperMatchesCountOnEveryPair) {
   Rng rng(7);
   const Graph g = BarabasiAlbert(1 << 9, 6, &rng);
-  for (const Kernel kernel : SupportedKernels()) {
-    ScopedKernel scoped(kernel);
-    for (VertexId u = 0; u < g.NumVertices(); u += 3) {
-      for (VertexId v = u + 1; v < g.NumVertices(); v += 97) {
-        std::vector<VertexId> via_callback;
-        ForEachCommonNeighbor(g, u, v, [&](VertexId w) {
-          via_callback.push_back(w);
-        });
-        EXPECT_TRUE(std::is_sorted(via_callback.begin(), via_callback.end()));
-        EXPECT_EQ(via_callback.size(), CountCommonNeighbors(g, u, v));
-      }
+  for (VertexId u = 0; u < g.NumVertices(); u += 3) {
+    for (VertexId v = u + 1; v < g.NumVertices(); v += 97) {
+      std::vector<VertexId> via_callback;
+      ForEachCommonNeighbor(g, u, v, [&](VertexId w) {
+        via_callback.push_back(w);
+      });
+      EXPECT_TRUE(std::is_sorted(via_callback.begin(), via_callback.end()));
+      const Graph::NeighborRange ru = g.Neighbors(u);
+      const Graph::NeighborRange rv = g.Neighbors(v);
+      EXPECT_EQ(via_callback.size(), intersect::Count(ru.begin(), ru.size(),
+                                                      rv.begin(), rv.size()));
     }
   }
 }
@@ -335,74 +267,84 @@ TEST(IntersectGraphApiTest, ThreeWayCallbackMatchesOracleAndCount) {
   }
 }
 
-// The end-to-end determinism pin: every triangle-adjacent metric must be
-// exactly identical under every kernel — the SIMD-off CI leg re-proves
-// this cross-build via the Table II readout diff.
-TEST(IntersectMetricsTest, MetricsAreKernelInvariant) {
-  Rng rng(31);
-  const Graph ba = BarabasiAlbert(1 << 10, 5, &rng);
+// Per-edge oracle: for every edge {u, v} with u < v, each common
+// neighbour w > v closes one triangle, found once.
+void OracleTriangles(const Graph& g, uint64_t* total,
+                     std::vector<uint32_t>* per_vertex) {
+  *total = 0;
+  per_vertex->assign(g.NumVertices(), 0);
+  for (VertexId u = 0; u < g.NumVertices(); ++u) {
+    for (const VertexId v : g.Neighbors(u)) {
+      if (v <= u) continue;
+      std::vector<VertexId> common;
+      std::set_intersection(g.Neighbors(u).begin(), g.Neighbors(u).end(),
+                            g.Neighbors(v).begin(), g.Neighbors(v).end(),
+                            std::back_inserter(common));
+      for (const VertexId w : common) {
+        if (w <= v) continue;
+        ++*total;
+        ++(*per_vertex)[u];
+        ++(*per_vertex)[v];
+        ++(*per_vertex)[w];
+      }
+    }
+  }
+}
+
+TEST(IntersectMetricsTest, TriangleCountsMatchBruteForceOracle) {
+  // The mark passes of metrics/triangles.cc, at one lane and at several
+  // lanes over many small blocks, on sparse, dense, hub-heavy and
+  // degenerate inputs.
+  std::vector<Graph> graphs;
+  Rng rng(13);
+  graphs.push_back(BarabasiAlbert(96, 4, &rng));
+  Rng ba_rng(31);
+  graphs.push_back(BarabasiAlbert(1 << 10, 5, &ba_rng));
   CollaborationOptions collab_options;
   collab_options.num_vertices = 1 << 10;
   collab_options.num_groups = 1 << 9;
   collab_options.num_planted_cores = 2;
   collab_options.planted_core_size = 16;
   Rng collab_rng(5);
-  const Graph collab = CollaborationNetwork(collab_options, &collab_rng);
+  graphs.push_back(CollaborationNetwork(collab_options, &collab_rng));
+  // K_8 whose vertex 0 is also a hub over 200 leaves.
+  const size_t k8_hub = graphs.size();
+  GraphBuilder hub(208);
+  for (VertexId a = 0; a < 8; ++a) {
+    for (VertexId b = a + 1; b < 8; ++b) hub.AddEdge(a, b);
+  }
+  for (VertexId leaf = 8; leaf < 208; ++leaf) hub.AddEdge(0, leaf);
+  graphs.push_back(hub.Build());
+  Rng er_rng(17);
+  graphs.push_back(ErdosRenyi(300, 0.01, &er_rng));
+  bool has_isolated = false;
+  for (VertexId v = 0; v < graphs.back().NumVertices(); ++v) {
+    has_isolated |= graphs.back().Degree(v) == 0;
+  }
+  ASSERT_TRUE(has_isolated);
+  graphs.push_back(GraphBuilder(0).Build());
+  graphs.push_back(GraphBuilder(1).Build());
+  GraphBuilder pair(2);
+  pair.AddEdge(0, 1);
+  graphs.push_back(pair.Build());
 
-  for (const Graph* g : {&ba, &collab}) {
-    uint64_t triangles = 0;
-    std::vector<uint32_t> per_vertex, truss, nucleus;
-    double avg_cc = 0.0;
-    bool first = true;
-    for (const Kernel kernel : SupportedKernels()) {
-      ScopedKernel scoped(kernel);
-      const uint64_t t = CountTriangles(*g);
-      const std::vector<uint32_t> pv = VertexTriangleCounts(*g);
-      const std::vector<uint32_t> tr = TrussNumbers(*g);
-      const std::vector<uint32_t> nu = NucleusEdgeNumbers(*g);
-      const double cc = AverageClusteringCoefficient(*g);
-      if (first) {
-        triangles = t;
-        per_vertex = pv;
-        truss = tr;
-        nucleus = nu;
-        avg_cc = cc;
-        first = false;
-        continue;
-      }
-      EXPECT_EQ(triangles, t) << intersect::KernelName(kernel);
-      EXPECT_EQ(per_vertex, pv) << intersect::KernelName(kernel);
-      EXPECT_EQ(truss, tr) << intersect::KernelName(kernel);
-      EXPECT_EQ(nucleus, nu) << intersect::KernelName(kernel);
-      // Bit-identical, not merely close: the kernels change instruction
-      // choice, never the arithmetic.
-      EXPECT_EQ(avg_cc, cc) << intersect::KernelName(kernel);
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    const Graph& g = graphs[i];
+    uint64_t oracle = 0;
+    std::vector<uint32_t> oracle_per_vertex;
+    OracleTriangles(g, &oracle, &oracle_per_vertex);
+    if (i == k8_hub) {
+      EXPECT_EQ(56u, oracle);  // C(8, 3); the leaves close none
+    }
+    for (const ParallelOptions options :
+         {ParallelOptions{1, 0}, ParallelOptions{2, 7},
+          ParallelOptions{4, 7}}) {
+      EXPECT_EQ(oracle, CountTriangles(g, options))
+          << "graph " << i << " threads " << options.num_threads;
+      EXPECT_EQ(oracle_per_vertex, VertexTriangleCounts(g, options))
+          << "graph " << i << " threads " << options.num_threads;
     }
   }
-}
-
-TEST(IntersectMetricsTest, TriangleCountsMatchBruteForceOracle) {
-  // The forward-adjacency restructure of metrics/triangles.cc against an
-  // O(n^3) oracle, under the widest kernel available.
-  Rng rng(13);
-  const Graph g = BarabasiAlbert(96, 4, &rng);
-  uint64_t oracle = 0;
-  std::vector<uint32_t> oracle_per_vertex(g.NumVertices(), 0);
-  for (VertexId u = 0; u < g.NumVertices(); ++u) {
-    for (VertexId v = u + 1; v < g.NumVertices(); ++v) {
-      if (!g.HasEdge(u, v)) continue;
-      for (VertexId w = v + 1; w < g.NumVertices(); ++w) {
-        if (g.HasEdge(u, w) && g.HasEdge(v, w)) {
-          ++oracle;
-          ++oracle_per_vertex[u];
-          ++oracle_per_vertex[v];
-          ++oracle_per_vertex[w];
-        }
-      }
-    }
-  }
-  EXPECT_EQ(oracle, CountTriangles(g));
-  EXPECT_EQ(oracle_per_vertex, VertexTriangleCounts(g));
 }
 
 }  // namespace

@@ -19,7 +19,7 @@
 #include "common/rng.h"
 #include "gen/generators.h"
 #include "graph/graph_builder.h"
-#include "graph/intersect_simd.h"
+#include "graph/intersect.h"
 #include "metrics/ktruss.h"
 
 namespace graphscape {

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -174,39 +175,60 @@ TEST(PersistenceTest, NestedCancellationsCascade) {
   EXPECT_EQ(simplified, expected);
 }
 
+// The simplification contract on `tree`: no value moves by tau or more,
+// and rebuilding on the cancelled values keeps exactly the original
+// pairs with persistence >= tau (plus all essential pairs), unchanged.
+// Clamping flattens the cancelled branches into plateaus, and the id
+// tie-break can split a plateau into several sweep leaves — those
+// contribute pairs of persistence exactly 0, and nothing else: no
+// feature strictly between 0 and tau survives or appears. `rebuild`
+// builds the same kind of tree over the same graph from new values.
+template <typename Rebuild>
+void ExpectSimplificationContract(const ScalarTree& tree, double tau,
+                                  Rebuild&& rebuild) {
+  std::multiset<double> expected;
+  for (const auto& pair : PersistencePairs(tree)) {
+    if (pair.essential || pair.Persistence() >= tau)
+      expected.insert(pair.Persistence());
+  }
+  const std::vector<double> values = PersistenceSimplifiedValues(tree, tau);
+  ASSERT_EQ(values.size(), tree.Values().size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_LT(std::abs(values[i] - tree.Values()[i]), tau) << "element " << i;
+  }
+  const ScalarTree simplified = rebuild(values);
+  std::multiset<double> actual;
+  for (const auto& pair : PersistencePairs(simplified)) {
+    if (pair.Persistence() > 0.0 || pair.essential)
+      actual.insert(pair.Persistence());
+    EXPECT_TRUE(pair.essential || pair.Persistence() >= tau ||
+                pair.Persistence() == 0.0)
+        << "feature below tau survived: " << pair.Persistence();
+  }
+  EXPECT_EQ(actual, expected);
+}
+
 TEST(PersistenceTest, SurvivingPairsMatchOriginalAboveThreshold) {
-  // The simplification contract: rebuilding on cancelled values keeps
-  // exactly the original pairs with persistence >= tau (plus all
-  // essential pairs), unchanged. Clamping flattens the cancelled
-  // branches into plateaus, and the id tie-break can split a plateau
-  // into several sweep leaves — those contribute pairs of persistence
-  // exactly 0, and nothing else: no feature strictly between 0 and tau
-  // survives or appears.
+  const double tau = 3.0;
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     Rng rng(seed);
     const Graph g = BarabasiAlbert(250, 3, &rng);
     std::vector<double> values(g.NumVertices());
     for (auto& v : values) v = static_cast<double>(rng.UniformInt(12));
-    const VertexScalarField field("f", values);
-    const ScalarTree tree = BuildVertexScalarTree(g, field);
-    const double tau = 3.0;
+    ExpectSimplificationContract(
+        BuildVertexScalarTree(g, VertexScalarField("f", values)), tau,
+        [&](const std::vector<double>& simplified) {
+          return BuildVertexScalarTree(g, VertexScalarField("f", simplified));
+        });
 
-    std::multiset<double> expected;
-    for (const auto& pair : PersistencePairs(tree)) {
-      if (pair.essential || pair.Persistence() >= tau)
-        expected.insert(pair.Persistence());
-    }
-    const ScalarTree simplified = BuildVertexScalarTree(
-        g, VertexScalarField("f", PersistenceSimplifiedValues(tree, tau)));
-    std::multiset<double> actual;
-    for (const auto& pair : PersistencePairs(simplified)) {
-      if (pair.Persistence() > 0.0 || pair.essential)
-        actual.insert(pair.Persistence());
-      EXPECT_TRUE(pair.essential || pair.Persistence() >= tau ||
-                  pair.Persistence() == 0.0)
-          << "feature below tau survived: " << pair.Persistence();
-    }
-    EXPECT_EQ(actual, expected);
+    const Graph er = ErdosRenyi(200, 0.03, &rng);
+    std::vector<double> edge_values(static_cast<size_t>(er.NumEdges()));
+    for (auto& v : edge_values) v = 12.0 * rng.UniformDouble();
+    ExpectSimplificationContract(
+        BuildEdgeScalarTree(er, EdgeScalarField("f", edge_values)), tau,
+        [&](const std::vector<double>& simplified) {
+          return BuildEdgeScalarTree(er, EdgeScalarField("f", simplified));
+        });
   }
 }
 
