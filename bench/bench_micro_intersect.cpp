@@ -8,10 +8,9 @@
 //       counted through the shared walk, merging or galloping; the
 //       Gallop/Scalar ratio is the exponential-search win
 //       (compare_bench.py gates Gallop >= 5x Scalar at 1:1024).
-//   BM_IntersectCount3/<len>                 3-way count (nucleus support).
 //
-// The triangle pipeline's end-to-end row is bench_micro_metrics'
-// BM_TriangleCount.
+// The end-to-end rows of the metrics built on sorted runs and marks are
+// bench_micro_metrics' BM_TriangleCount, BM_TrussNumbers and BM_Nucleus34.
 
 #include <benchmark/benchmark.h>
 
@@ -71,24 +70,6 @@ BENCHMARK(BM_IntersectSkew_Gallop)
     ->ArgName("ratio")
     ->RangeMultiplier(4)
     ->Range(16, 4096);
-
-// 3-way count-only intersection — the nucleus 4-clique support shape.
-void BM_IntersectCount3(benchmark::State& state) {
-  const uint32_t len = static_cast<uint32_t>(state.range(0));
-  Rng rng(59);
-  const std::vector<uint32_t> a = MakeRun(len, 2 * len, &rng);
-  const std::vector<uint32_t> b = MakeRun(len, 2 * len, &rng);
-  const std::vector<uint32_t> c = MakeRun(len, 2 * len, &rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(intersect::Count3(
-        a.data(), static_cast<uint32_t>(a.size()), b.data(),
-        static_cast<uint32_t>(b.size()), c.data(),
-        static_cast<uint32_t>(c.size())));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          (a.size() + b.size() + c.size()));
-}
-BENCHMARK(BM_IntersectCount3)->RangeMultiplier(4)->Range(64, 1 << 12);
 
 }  // namespace
 }  // namespace graphscape

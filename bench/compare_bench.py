@@ -88,11 +88,11 @@ TRACKED_BENCHMARKS = [
     # loopback wire protocol, from bench_service_qps's BENCH_service.json.
     "SVC_MixedQps",
     # Sorted-run intersection layer (docs/ARCHITECTURE.md): the galloping
-    # path at 1:1024 skew and the 3-way count; then the triangle mark
-    # passes' end-to-end row.
+    # path at 1:1024 skew; then the end-to-end rows of the mark passes
+    # over triangles and over the (3,4)-nucleus's edge-triangle runs.
     "BM_IntersectSkew_Gallop/ratio:1024",
-    "BM_IntersectCount3/1024",
     "BM_TriangleCount/65536",
+    "BM_Nucleus34/8192",
 ]
 
 # real_time rows (ns, lower is better): benches without an item counter.

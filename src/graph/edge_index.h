@@ -2,8 +2,8 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // Canonical undirected edge ids over the CSR structure, shared by every
-// edge-indexed subsystem (K-Truss support peeling, nucleus lifting, edge
-// scalar trees). Edge e's id is its position in EdgeList order: ascending
+// edge-indexed subsystem (K-Truss support peeling, nucleus triangle
+// runs, edge scalar trees). Edge e's id is its position in EdgeList order: ascending
 // smaller endpoint, then larger — exactly the order TrussNumbers and
 // EdgeScalarField values are laid out in.
 //
@@ -32,7 +32,6 @@
 #ifndef GRAPHSCAPE_GRAPH_EDGE_INDEX_H_
 #define GRAPHSCAPE_GRAPH_EDGE_INDEX_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -80,18 +79,6 @@ class EdgeIndex {
 
   /// Edge id of the s-th CSR adjacency slot.
   uint32_t EdgeAtSlot(uint32_t slot) const { return slot_eid_[slot]; }
-  const std::vector<uint32_t>& SlotEdgeIds() const { return slot_eid_; }
-
-  /// Edge id of existing edge {a, b}; O(log deg(min(a, b))).
-  uint32_t EdgeId(VertexId a, VertexId b) const {
-    const VertexId x = std::min(a, b), y = std::max(a, b);
-    const std::vector<uint32_t>& offsets = graph_->Offsets();
-    const std::vector<VertexId>& adj = graph_->Adjacency();
-    const VertexId* lo = adj.data() + offsets[x];
-    const VertexId* hi = adj.data() + offsets[x + 1];
-    const VertexId* it = std::lower_bound(lo, hi, y);
-    return slot_eid_[static_cast<uint32_t>(it - adj.data())];
-  }
 
  private:
   const Graph* graph_;

@@ -10,6 +10,7 @@
 #include "common/peel_by_level.h"
 #include "graph/edge_index.h"
 #include "graph/intersect.h"
+#include "metrics/peel_runs.h"
 
 namespace graphscape {
 
@@ -26,14 +27,9 @@ std::vector<std::pair<VertexId, VertexId>> EdgeList(const Graph& g) {
 
 namespace {
 
-// One adjacency slot of u: the neighbour w and the id of edge {u, w}.
-struct Pair {
-  VertexId w;
-  uint32_t e;
-};
-
-// The edge id a peeled pair carries in the peel's runs.
-constexpr uint32_t kPeeled = ~0u;
+using internal::KeepLive;
+using internal::kPeeled;
+using internal::Pair;
 
 // Every vertex's run of pairs, in CSR slot order. The EdgeIndex lives
 // only for this call, so it is freed before the peel allocates.
@@ -84,29 +80,12 @@ std::vector<uint32_t> CountSupport(const Graph& g,
         for (const Pair* q = runs.data() + offsets[p->w]; q != q_end; ++q) {
           triangles += mark[q->w];
         }
-        support[p->e] = triangles;
+        support[p->id] = triangles;
       }
       for (const Pair* p = begin; p != end; ++p) mark[p->w] = 0;
     }
   });
   return support;
-}
-
-// Compacts the run [lo, hi) in place to its live pairs other than edge
-// e's, in order, and returns the new end. visit(pair, live) sees every
-// pair. The loop does not branch on liveness: a walk meets edges
-// peeled since its run was last compacted in no predictable order.
-template <typename Visit>
-Pair* KeepLive(Pair* lo, Pair* hi, uint32_t e, Visit&& visit) {
-  Pair* out = lo;
-  for (const Pair* p = lo; p != hi; ++p) {
-    const Pair pair = *p;
-    const bool live = pair.e != e && pair.e != kPeeled;
-    *out = pair;
-    out += live;
-    visit(pair, live);
-  }
-  return out;
 }
 
 // The peel proper, after the support-counting pass. Order-serial: each
@@ -147,21 +126,21 @@ std::vector<uint32_t> PeelBySupport(const Graph& g, std::vector<Pair> runs,
       end[a] = slot(KeepLive(a_lo, a_hi, e, [&](const Pair& p, bool live) {
         if (!live) return;
         q = std::lower_bound(q, b_hi, p.w, by_w);
-        if (q != b_hi && q->w == p.w && q->e != kPeeled) {
-          demote(p.e);
-          demote(q->e);
+        if (q != b_hi && q->w == p.w && q->id != kPeeled) {
+          demote(p.id);
+          demote(q->id);
         }
       }));
-      std::lower_bound(b_lo, b_hi, a, by_w)->e = kPeeled;
+      std::lower_bound(b_lo, b_hi, a, by_w)->id = kPeeled;
     } else {
       end[a] = slot(KeepLive(a_lo, a_hi, e, [&](const Pair& p, bool live) {
-        mark[p.w] = live ? p.e + 1 : 0;
+        mark[p.w] = live ? p.id + 1 : 0;
       }));
       end[b] = slot(KeepLive(b_lo, b_hi, e, [&](const Pair& q, bool live) {
         const uint32_t m = mark[q.w];
         if (live && m != 0) {
           demote(m - 1);
-          demote(q.e);
+          demote(q.id);
         }
       }));
       for (uint32_t s = offsets[a]; s < end[a]; ++s) mark[runs[s].w] = 0;

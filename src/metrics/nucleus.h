@@ -7,7 +7,9 @@
 // level-synchronous peel (common/peel_by_level.h): at each level k, peel
 // every triangle whose support has fallen to k and demote the other three
 // triangles of every 4-clique it completed, provided that clique is still
-// intact.
+// intact. Where K-Truss keeps each vertex's run of edges, the nucleus
+// keeps each edge's run of triangles, so support and peel are mark
+// passes over runs, with no hashing and no vertex-count limit.
 
 #ifndef GRAPHSCAPE_METRICS_NUCLEUS_H_
 #define GRAPHSCAPE_METRICS_NUCLEUS_H_
@@ -29,8 +31,9 @@ struct NucleusDecomposition {
   std::vector<uint32_t> nucleus_numbers;
 };
 
-/// Requires g.NumVertices() < 2^21 (triple keys pack into 64 bits);
-/// throws std::invalid_argument otherwise, in every build type.
+/// Triangles are listed in ascending (u, v, w) order, and the numbers
+/// follow them. The runs use 32-bit offsets, so the graph may hold at
+/// most (2^32 - 1) / 3 triangles.
 NucleusDecomposition Nucleus34(const Graph& g);
 
 /// Nucleus values lifted from triangles to edges: for each edge (in

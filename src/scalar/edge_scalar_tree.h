@@ -108,7 +108,6 @@ EdgeScalarField TrussnessEdgeField(const Graph& g);
 
 /// (3,4)-nucleus values lifted to edges: each edge takes the maximum
 /// nucleus number over the triangles containing it (0 if triangle-free).
-/// Inherits Nucleus34's < 2^21-vertex precondition.
 EdgeScalarField NucleusEdgeField(const Graph& g);
 
 }  // namespace graphscape

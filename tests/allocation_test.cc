@@ -22,6 +22,7 @@
 #include "layout/spring_layout.h"
 #include "metrics/kcore.h"
 #include "metrics/ktruss.h"
+#include "metrics/nucleus.h"
 #include "metrics/triangles.h"
 #include "scalar/edge_scalar_tree.h"
 #include "scalar/scalar_tree.h"
@@ -170,19 +171,17 @@ TEST(AllocationDisciplineTest, MemberIndexBuildAllocatesConstantArrays) {
 
 TEST(AllocationDisciplineTest, IntersectKernelsNeverAllocate) {
   // The intersection layer (graph/intersect.h) is allocation-free by
-  // contract: zero heap allocations across Count/Count3 and the
-  // ForEachCommonNeighbor wrappers.
+  // contract: zero heap allocations across intersect::Count, merging and
+  // galloping.
   Rng rng(42);
   const Graph g = BarabasiAlbert(1 << 10, 4, &rng);
   uint64_t sink = 0;
   const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
   for (VertexId u = 0; u < 64; ++u) {
-    for (VertexId v = u + 1; v < 64; ++v) {
+    for (VertexId v = u + 1; v < g.NumVertices(); v += 13) {
       const Graph::NeighborRange ru = g.Neighbors(u);
       const Graph::NeighborRange rv = g.Neighbors(v);
       sink += intersect::Count(ru.begin(), ru.size(), rv.begin(), rv.size());
-      sink += CountCommonNeighbors(g, u, v, (u + v) % g.NumVertices());
-      ForEachCommonNeighbor(g, u, v, [&](VertexId w) { sink += w; });
     }
   }
   const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
@@ -238,6 +237,32 @@ TEST(AllocationDisciplineTest, TrussNumbersAllocationsConstantInGraphSize) {
   EXPECT_EQ(small, large)
       << "allocation count scales with graph size - something allocates "
          "inside the support count or the peel";
+  EXPECT_LE(large, 12u);
+}
+
+uint64_t AllocationsDuringNucleus34(uint32_t n) {
+  Rng rng(42);
+  const Graph g = BarabasiAlbert(n, 4, &rng);
+  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const NucleusDecomposition d = Nucleus34(g);
+  const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_GT(d.triangles.size(), 0u);
+  EXPECT_EQ(d.nucleus_numbers.size(), d.triangles.size());
+  return after - before;
+}
+
+TEST(AllocationDisciplineTest, NucleusAllocationsConstantInGraphSize) {
+  // Nucleus34 counts triangles per edge before it fills anything, so it
+  // allocates a fixed set of exact-sized arrays (the EdgeIndex slot ids
+  // and its fill cursor, the marks, the edge runs' starts and ends, the
+  // runs, the triangles, their edges, support, which becomes the output,
+  // and PeelByLevel's live list and frontier) and nothing per triangle
+  // or per 4-clique: the peel compacts the runs in place.
+  const uint64_t small = AllocationsDuringNucleus34(1 << 8);
+  const uint64_t large = AllocationsDuringNucleus34(1 << 14);
+  EXPECT_EQ(small, large)
+      << "allocation count scales with graph size - something allocates "
+         "inside the triangle enumeration, the support count or the peel";
   EXPECT_LE(large, 12u);
 }
 

@@ -131,8 +131,6 @@ void ExpectTwinMappingMatchesEdgeList(const Graph& g) {
     const auto [u, v] = edges[e];
     EXPECT_EQ(index.U(e), u);
     EXPECT_EQ(index.V(e), v);
-    EXPECT_EQ(index.EdgeId(u, v), e);
-    EXPECT_EQ(index.EdgeId(v, u), e);
     EXPECT_EQ(index.EdgeAtSlot(SlotOf(g, u, v)), e) << "slot in u's run";
     EXPECT_EQ(index.EdgeAtSlot(SlotOf(g, v, u)), e) << "slot in v's run";
   }

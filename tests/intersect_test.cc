@@ -2,14 +2,14 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // Differential suite for the sorted-run intersection layer
-// (graph/intersect.h): the merge and gallop walks and the entry points
-// built on them must agree with a brute-force oracle and with each other,
-// on counts, on emitted elements, AND on emission order, across 10k
-// seeded adversarial run pairs (empty, disjoint, identical, 1:4096 skew,
-// all-ties, lengths 0/1). The triangle mark passes, which share no code
-// with this layer, are pinned here against a per-edge
-// std::set_intersection oracle. The suite runs under ASan/UBSan and TSan
-// via the regular CI matrix.
+// (graph/intersect.h): the merge and gallop walks and Count must agree
+// with a brute-force oracle and with each other, on counts, on emitted
+// elements, AND on emission order, across 10k seeded adversarial run
+// pairs (empty, disjoint, identical, 1:4096 skew, all-ties, lengths 0/1),
+// and the gallop over {vertex, id} records with lower_bound. The triangle
+// mark passes, which share no code with this layer, are pinned here
+// against a per-edge std::set_intersection oracle. The suite runs under
+// ASan/UBSan and TSan via the regular CI matrix.
 
 #include <gtest/gtest.h>
 
@@ -34,12 +34,6 @@ std::vector<uint32_t> OracleIntersect(const std::vector<uint32_t>& a,
   std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
                         std::back_inserter(out));
   return out;
-}
-
-std::vector<uint32_t> OracleIntersect3(const std::vector<uint32_t>& a,
-                                       const std::vector<uint32_t>& b,
-                                       const std::vector<uint32_t>& c) {
-  return OracleIntersect(OracleIntersect(a, b), c);
 }
 
 // Sorted duplicate-free run of `len` values drawn from [0, universe).
@@ -143,125 +137,32 @@ TEST(IntersectDifferentialTest, SeededFuzzTenThousandPairs) {
   }
 }
 
-TEST(IntersectDifferentialTest, ThreeWayCountMatchesOracle) {
-  Rng rng(99);
-  for (uint32_t trial = 0; trial < 2000; ++trial) {
-    const uint32_t universe = 1 + static_cast<uint32_t>(rng.UniformInt(600));
-    const std::vector<uint32_t> a =
-        MakeRun(static_cast<uint32_t>(rng.UniformInt(300)), universe, &rng);
-    const std::vector<uint32_t> b =
-        MakeRun(static_cast<uint32_t>(rng.UniformInt(300)), universe, &rng);
-    const std::vector<uint32_t> c =
-        MakeRun(static_cast<uint32_t>(rng.UniformInt(300)), universe, &rng);
-    EXPECT_EQ(OracleIntersect3(a, b, c).size(),
-              intersect::Count3(a.data(), static_cast<uint32_t>(a.size()),
-                                b.data(), static_cast<uint32_t>(b.size()),
-                                c.data(), static_cast<uint32_t>(c.size())))
-        << "trial " << trial;
-  }
-}
-
-TEST(IntersectDifferentialTest, ThreeWayCountCrossesChunkBoundaries) {
-  // Long runs with dense overlap: every pair match gallops through the
-  // longest run from the last survivor, and none may be dropped or
-  // counted twice.
-  std::vector<uint32_t> a, b, c;
-  for (uint32_t i = 0; i < 1500; ++i) {
-    a.push_back(i);
-    if (i % 2 == 0) b.push_back(i);
-    if (i % 3 == 0) c.push_back(i);
-  }
-  const size_t expected = OracleIntersect3(a, b, c).size();  // i % 6 == 0
-  ASSERT_EQ(expected, 250u);
-  EXPECT_EQ(expected,
-            intersect::Count3(a.data(), static_cast<uint32_t>(a.size()),
-                              b.data(), static_cast<uint32_t>(b.size()),
-                              c.data(), static_cast<uint32_t>(c.size())));
-}
-
-TEST(IntersectGraphApiTest, CallbackWrapperMatchesCountOnEveryPair) {
-  Rng rng(7);
-  const Graph g = BarabasiAlbert(1 << 9, 6, &rng);
-  for (VertexId u = 0; u < g.NumVertices(); u += 3) {
-    for (VertexId v = u + 1; v < g.NumVertices(); v += 97) {
-      std::vector<VertexId> via_callback;
-      ForEachCommonNeighbor(g, u, v, [&](VertexId w) {
-        via_callback.push_back(w);
-      });
-      EXPECT_TRUE(std::is_sorted(via_callback.begin(), via_callback.end()));
-      const Graph::NeighborRange ru = g.Neighbors(u);
-      const Graph::NeighborRange rv = g.Neighbors(v);
-      EXPECT_EQ(via_callback.size(), intersect::Count(ru.begin(), ru.size(),
-                                                      rv.begin(), rv.size()));
+TEST(IntersectDifferentialTest, GallopSeekOverRecordsMatchesLowerBound) {
+  // The nucleus peel gallops through runs of {vertex, id} records keyed
+  // by vertex: every (start, target) pair must land where lower_bound
+  // does, including targets below, between, on and past every key.
+  struct Record {
+    uint32_t w;
+    uint32_t id;
+  };
+  Rng rng(31);
+  for (const uint32_t len : {0u, 1u, 2u, 7u, 64u, 300u}) {
+    const std::vector<uint32_t> keys = MakeRun(len, 4 * len + 1, &rng);
+    std::vector<Record> run;
+    for (const uint32_t w : keys) {
+      run.push_back({w, static_cast<uint32_t>(run.size())});
     }
-  }
-}
-
-TEST(IntersectGraphApiTest, SlotCallbackNamesTheCommonNeighborInBothRuns) {
-  // Hub 0 over 200 leaves plus BA-style clustering among the first 40:
-  // hub pairs are past kGallopSkewRatio, the rest merge. Both argument
-  // orders, so the shorter run is sometimes u's and sometimes v's.
-  GraphBuilder builder(201);
-  for (VertexId v = 1; v <= 200; ++v) builder.AddEdge(0, v);
-  Rng rng(9);
-  for (uint32_t i = 0; i < 300; ++i) {
-    builder.AddEdge(1 + static_cast<VertexId>(rng.UniformInt(40)),
-                    1 + static_cast<VertexId>(rng.UniformInt(200)));
-  }
-  const Graph g = builder.Build();
-  const std::vector<uint32_t>& offsets = g.Offsets();
-  const std::vector<VertexId>& adj = g.Adjacency();
-  for (VertexId u = 0; u < 48; ++u) {
-    for (VertexId v = 0; v < 48; ++v) {
-      if (u == v) continue;
-      std::vector<VertexId> via_slots;
-      ForEachCommonSlot(g, u, v, [&](uint32_t su, uint32_t sv) {
-        EXPECT_GE(su, offsets[u]);
-        EXPECT_LT(su, offsets[u + 1]);
-        EXPECT_GE(sv, offsets[v]);
-        EXPECT_LT(sv, offsets[v + 1]);
-        EXPECT_EQ(adj[su], adj[sv]);
-        via_slots.push_back(adj[su]);
-      });
-      const std::vector<VertexId> nu(g.Neighbors(u).begin(),
-                                     g.Neighbors(u).end());
-      const std::vector<VertexId> nv(g.Neighbors(v).begin(),
-                                     g.Neighbors(v).end());
-      EXPECT_EQ(via_slots, OracleIntersect(nu, nv)) << u << " " << v;
-    }
-  }
-}
-
-TEST(IntersectGraphApiTest, ThreeWayCallbackMatchesOracleAndCount) {
-  // Star-of-cliques: vertex 0 is a hub adjacent to everyone — the 3-way
-  // lagging-pointer restructure must handle the hub run staying at the
-  // frontier while leaf runs gallop.
-  GraphBuilder builder(64);
-  for (VertexId v = 1; v < 64; ++v) builder.AddEdge(0, v);
-  for (VertexId base = 1; base + 4 <= 64; base += 4) {
-    for (VertexId i = 0; i < 4; ++i) {
-      for (VertexId j = i + 1; j < 4; ++j) {
-        builder.AddEdge(base + i, base + j);
-      }
-    }
-  }
-  const Graph g = builder.Build();
-  for (VertexId a = 0; a < 16; ++a) {
-    for (VertexId b = a + 1; b < 16; ++b) {
-      for (VertexId c = b + 1; c < 16; ++c) {
-        std::vector<VertexId> na(g.Neighbors(a).begin(),
-                                 g.Neighbors(a).end());
-        std::vector<VertexId> nb(g.Neighbors(b).begin(),
-                                 g.Neighbors(b).end());
-        std::vector<VertexId> nc(g.Neighbors(c).begin(),
-                                 g.Neighbors(c).end());
-        const std::vector<uint32_t> oracle = OracleIntersect3(na, nb, nc);
-        std::vector<VertexId> via_callback;
-        ForEachCommonNeighbor(g, a, b, c, [&](VertexId d) {
-          via_callback.push_back(d);
-        });
-        EXPECT_EQ(oracle, via_callback);
-        EXPECT_EQ(oracle.size(), CountCommonNeighbors(g, a, b, c));
+    const Record* const begin = run.data();
+    const Record* const end = begin + run.size();
+    const auto key = [](const Record& r) { return r.w; };
+    for (size_t first = 0; first <= run.size(); ++first) {
+      for (uint32_t target = 0; target <= 4 * len + 2; ++target) {
+        const Record* expected = std::lower_bound(
+            begin + first, end, target,
+            [](const Record& r, uint32_t t) { return r.w < t; });
+        EXPECT_EQ(expected, intersect::detail::GallopSeek(begin + first, end,
+                                                          target, key))
+            << "len " << len << " first " << first << " target " << target;
       }
     }
   }

@@ -144,12 +144,5 @@ TEST(Nucleus34Test, TriangleFreeGraphIsEmpty) {
   EXPECT_TRUE(d.nucleus_numbers.empty());
 }
 
-TEST(Nucleus34Test, RejectsGraphsBeyondKeyPacking) {
-  // The 3x21-bit triangle keys cap the vertex count; the guard must hold
-  // in Release builds too, not just under assert().
-  GraphBuilder builder(1u << 21);
-  EXPECT_THROW(Nucleus34(builder.Build()), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace graphscape

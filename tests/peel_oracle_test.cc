@@ -21,6 +21,7 @@
 #include "common/rng.h"
 #include "gen/generators.h"
 #include "graph/graph_builder.h"
+#include "graph/intersect.h"
 #include "metrics/kcore.h"
 #include "metrics/nucleus.h"
 
@@ -225,6 +226,46 @@ Graph HubPlusClique(uint32_t n, uint64_t seed) {
   return builder.Build();
 }
 
+// The book graph: the spine {0, 1} and pages 2..33, each adjacent to
+// both hubs, so the spine's triangle run (32 pairs) is 32x the run of
+// every pure page's edges {0, y} and {1, y} (1 pair each). Pages 2-3 and
+// 2-4 close the 4-cliques {0, 1, 2, 3} and {0, 1, 2, 4}; 2 and 3 also sit
+// in a K6 with 0 and 34..36 and in a K6 with 1 and 37..39. At level 1,
+// (0, 1, 3) peels before (0, 1, 2), whose peel then meets 3 in the
+// spine's run: only (0, 1, 3)'s tombstone there keeps that destroyed
+// clique from demoting (0, 2, 3) and (1, 2, 3), which hold at 3 in their
+// K6s.
+Graph BookGraph() {
+  GraphBuilder builder(40);
+  builder.AddEdge(0, 1);
+  for (VertexId page = 2; page <= 33; ++page) {
+    builder.AddEdge(0, page);
+    builder.AddEdge(1, page);
+  }
+  builder.AddEdge(2, 3);
+  builder.AddEdge(2, 4);
+  AddClique({0, 2, 3, 34, 35, 36}, &builder);
+  AddClique({1, 2, 3, 37, 38, 39}, &builder);
+  return builder.Build();
+}
+
+// Hub 5 over every other vertex, so its 64 neighbours above it are at
+// least 32x the neighbours above 5 of every pivot 0..4 (one or two): the
+// triangle enumeration walks those and gallops through the hub's run.
+// The pivots close K4 {0, 5, 6, 7}, K4 {1, 2, 5, 8} and K5 {3, 4, 5, 9,
+// 10}; the hub's leaves close K5 {5, 20, 21, 22, 23}.
+Graph PivotsBelowHub() {
+  GraphBuilder builder(70);
+  for (VertexId v = 0; v < 70; ++v) {
+    if (v != 5) builder.AddEdge(5, v);
+  }
+  AddClique({0, 5, 6, 7}, &builder);
+  AddClique({1, 2, 5, 8}, &builder);
+  AddClique({3, 4, 5, 9, 10}, &builder);
+  AddClique({5, 20, 21, 22, 23}, &builder);
+  return builder.Build();
+}
+
 TEST(PeelOracleTest, DegenerateGraphs) {
   ExpectBothMatchOracles(Graph());
   ExpectBothMatchOracles(GraphBuilder(6).Build());  // isolated vertices only
@@ -278,6 +319,51 @@ TEST(PeelOracleTest, PlantedCliqueWithHubLeaves) {
     SCOPED_TRACE(seed);
     ExpectBothMatchOracles(HubPlusClique(40, seed));
   }
+}
+
+TEST(PeelOracleTest, BookGraphHubRunTombstones) {
+  const Graph g = BookGraph();
+  std::map<Triple, uint32_t> oracle = OracleNucleusNumbers(g);
+  uint32_t spine = 0;
+  for (const auto& [tri, number] : oracle) spine += tri[0] == 0 && tri[1] == 1;
+  ASSERT_EQ(spine, 32u);
+  ASSERT_EQ(oracle.count({0, 1, 5}), 1u);
+  ASSERT_EQ(oracle.count({0, 5, 6}), 0u);  // page 5's edges: one triangle
+  EXPECT_EQ(oracle.at({0, 2, 3}), 3u);
+  EXPECT_EQ(oracle.at({1, 2, 3}), 3u);
+  ExpectBothMatchOracles(g);
+}
+
+TEST(PeelOracleTest, PivotsBelowAHubGallopThroughIt) {
+  const Graph g = PivotsBelowHub();
+  ASSERT_EQ(g.Degree(5), 69u);
+  ASSERT_TRUE(intersect::detail::Skewed(2, 64));
+  ExpectNucleusMatchesOracle(g);
+}
+
+TEST(PeelOracleTest, NucleusBeyondTwoToThe21Vertices) {
+  // Triangles are ids into per-edge runs, not packed vertex keys, so no
+  // vertex count is too large: an oracle-checked graph moved to ids at
+  // and above 2^21 decomposes to the same numbers.
+  const Graph small = HubPlusClique(40, 21);
+  ExpectNucleusMatchesOracle(small);
+  const VertexId shift = 1u << 21;
+  GraphBuilder builder(shift + small.NumVertices());
+  for (VertexId u = 0; u < small.NumVertices(); ++u) {
+    for (const VertexId v : small.Neighbors(u)) {
+      if (u < v) builder.AddEdge(shift + u, shift + v);
+    }
+  }
+  const NucleusDecomposition expected = Nucleus34(small);
+  const NucleusDecomposition got = Nucleus34(builder.Build());
+  ASSERT_GT(expected.triangles.size(), 0u);
+  ASSERT_EQ(got.triangles.size(), expected.triangles.size());
+  for (size_t t = 0; t < got.triangles.size(); ++t) {
+    const Triple& tri = expected.triangles[t];
+    EXPECT_EQ(got.triangles[t],
+              (Triple{shift + tri[0], shift + tri[1], shift + tri[2]}));
+  }
+  EXPECT_EQ(got.nucleus_numbers, expected.nucleus_numbers);
 }
 
 }  // namespace
