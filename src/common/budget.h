@@ -2,8 +2,8 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // ResourceBudget: a byte cap plus a deadline, threaded by pointer
-// through the guarded construction and render paths so paper-scale
-// builds degrade deliberately instead of dying in the allocator.
+// through the guarded render so paper-scale renders degrade
+// deliberately instead of dying in the allocator.
 //
 // Semantics:
 //   * ChargeBytes(n) reserves n bytes against the cap BEFORE the caller

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 namespace graphscape {
 namespace {
@@ -190,8 +191,6 @@ void RunRegion(uint32_t num_threads, uint64_t num_blocks,
                void* ctx) {
   ThreadPool::Global().Run(num_threads, num_blocks, fn, ctx);
 }
-
-void ShutdownPoolForTest() { ThreadPool::Global().Shutdown(); }
 
 }  // namespace internal
 }  // namespace graphscape

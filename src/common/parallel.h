@@ -9,12 +9,9 @@
 // rely on:
 //
 //  * Deterministic by construction. ParallelFor runs a pure body over
-//    disjoint indices; ParallelReduce splits the range into blocks whose
-//    boundaries depend only on (range, grain) — never on the thread
-//    count — and combines block partials in ascending block order on the
-//    calling thread. A caller whose body is a pure function of its index
-//    therefore gets bit-identical results for EVERY thread count,
-//    including 1.
+//    disjoint indices, so a caller whose body is a pure function of its
+//    index gets bit-identical results for EVERY thread count, including
+//    1.
 //
 //  * num_threads == 1 is an exact sequential fallback: the body runs
 //    inline on the calling thread, the pool is never touched (not even
@@ -42,7 +39,6 @@
 #define GRAPHSCAPE_COMMON_PARALLEL_H_
 
 #include <cstdint>
-#include <vector>
 
 namespace graphscape {
 
@@ -59,9 +55,7 @@ struct ParallelOptions {
   /// execution (the pool is not touched).
   uint32_t num_threads = 0;
   /// Minimum indices per block. 0 lets the algorithm pick its own grain
-  /// (ParallelFor/ParallelReduce default to 1024). Block boundaries
-  /// depend only on (range, grain) so reductions stay thread-count
-  /// independent.
+  /// (ParallelFor defaults to 1024).
   uint64_t grain = 0;
 };
 
@@ -81,9 +75,6 @@ namespace internal {
 void RunRegion(uint32_t num_threads, uint64_t num_blocks,
                void (*fn)(void* ctx, uint64_t block, uint32_t lane),
                void* ctx);
-
-/// Join the pool's workers (used by tests; the pool respawns lazily).
-void ShutdownPoolForTest();
 
 inline uint64_t ResolveGrain(uint64_t grain, uint64_t fallback) {
   return grain == 0 ? fallback : grain;
@@ -144,34 +135,6 @@ void ParallelForBlocks(uint64_t num_blocks, const ParallelOptions& options,
         (*static_cast<Ctx*>(raw)->body)(block, lane);
       },
       &ctx);
-}
-
-/// Deterministic map-reduce: acc starts at `identity` per block,
-/// map(i, &acc) folds indices into it, block partials are combined with
-/// combine(total, partial) in ASCENDING block order on the calling
-/// thread. Because block boundaries depend only on (range, grain), the
-/// result is identical for every thread count — but NOT necessarily to a
-/// single flat left fold (floating-point callers get "identical across
-/// thread counts", integer callers get full equality).
-template <typename T, typename Map, typename Combine>
-T ParallelReduce(uint64_t begin, uint64_t end, const ParallelOptions& options,
-                 T identity, Map&& map, Combine&& combine) {
-  if (begin >= end) return identity;
-  const uint64_t count = end - begin;
-  const uint64_t grain = internal::ResolveGrain(options.grain, 1024);
-  const uint64_t num_blocks = (count + grain - 1) / grain;
-  std::vector<T> partials(num_blocks, identity);
-  ParallelForBlocks(num_blocks, options, [&](uint64_t block, uint32_t) {
-    const uint64_t lo = begin + block * grain;
-    const uint64_t hi = lo + grain < end ? lo + grain : end;
-    T acc = identity;
-    for (uint64_t i = lo; i < hi; ++i) map(i, &acc);
-    partials[block] = acc;
-  });
-  T total = identity;
-  for (uint64_t block = 0; block < num_blocks; ++block)
-    total = combine(total, partials[block]);
-  return total;
 }
 
 }  // namespace graphscape

@@ -37,7 +37,6 @@ class GraphBuilder {
   }
 
   uint32_t NumVertices() const { return num_vertices_; }
-  size_t NumAddedEdges() const { return edges_.size(); }
 
   /// Packs into CSR. The builder may be reused afterwards (edges kept).
   Graph Build() const {

@@ -27,13 +27,15 @@ std::vector<double> PageRank(const Graph& g,
                              const PageRankOptions& options = {});
 
 /// PageRank with the per-iteration gather parallelized — BIT-IDENTICAL
-/// to PageRank for every thread count. The sequential kernel pushes
-/// `damping * rank[v] / deg(v)` from each v in ascending order, so
-/// next[u] accumulates its neighbors' shares in ascending neighbor
-/// order; the pull form computes next[u] by iterating u's (sorted) CSR
-/// run — the exact same additions in the exact same order, with u's
-/// independent of each other. The dangling-mass and L1-delta folds stay
-/// sequential (O(n), and a tree reduction would reorder them).
+/// for every thread count. Each iteration writes every vertex's share
+/// `damping * rank[v] / deg(v)` once, then next[u] sums its neighbours'
+/// shares over u's (sorted) CSR run: the same additions in the same
+/// order whatever the width, with u's independent of each other. These
+/// are also the terms, in the same order, of the push form (each v
+/// scattering its share to its neighbours in ascending v), which
+/// tests/parallel_test.cc keeps as the oracle. The dangling-mass and
+/// L1-delta folds stay sequential (O(n), and a tree reduction would
+/// reorder them). PageRank is this at one lane.
 std::vector<double> PageRankParallel(const Graph& g,
                                      const PageRankOptions& options = {},
                                      const ParallelOptions& parallel = {});

@@ -96,33 +96,6 @@ ScalarTree BuildEdgeScalarTree(const Graph& g, const EdgeIndex& index,
                     field.Values());
 }
 
-uint64_t EdgeScalarTreeBuildBytes(uint32_t num_vertices,
-                                  uint64_t num_edges) {
-  // Per vertex: uf + comp_size + head (u32 each). Per edge: order +
-  // parents (u32 each; endpoints come straight from the graph), the
-  // values copy (f64), and 4 B of slack. The sort's u64 key array and
-  // u32 ping-pong buffer are freed before the sweep arrays exist, and
-  // order + buffer + keys (16 B per edge) stays below the 20 B charged.
-  return static_cast<uint64_t>(num_vertices) * 12 + num_edges * (3 * 4 + 8);
-}
-
-StatusOr<ScalarTree> BuildEdgeScalarTreeGuarded(const Graph& g,
-                                                const EdgeScalarField& field,
-                                                ResourceBudget* budget) {
-  if (field.Size() != g.NumEdges()) {
-    return Status::InvalidArgument(StrPrintf(
-        "edge_scalar_tree: field has %u values for %llu edges",
-        field.Size(), static_cast<unsigned long long>(g.NumEdges())));
-  }
-  Status status = CheckBudgetDeadline(budget, "BuildEdgeScalarTree");
-  if (!status.ok()) return status;
-  status = ChargeBudget(
-      budget, EdgeScalarTreeBuildBytes(g.NumVertices(), g.NumEdges()),
-      "BuildEdgeScalarTree");
-  if (!status.ok()) return status;
-  return BuildEdgeScalarTree(g, field);
-}
-
 StatusOr<ScalarTree> BuildEdgeScalarTreeNaive(const Graph& g,
                                               const EdgeScalarField& field,
                                               uint64_t max_line_edges) {

@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "common/budget.h"
 #include "common/status.h"
 #include "graph/edge_index.h"
 #include "graph/graph.h"
@@ -72,17 +71,6 @@ ScalarTree BuildEdgeScalarTree(const Graph& g, const EdgeIndex& index,
 ScalarTree BuildEdgeScalarTreeParallel(const Graph& g,
                                        const EdgeScalarField& field,
                                        const ParallelOptions& options = {});
-
-/// Working-set bytes BuildEdgeScalarTree allocates for n vertices and m
-/// edges — what the guarded build charges before running.
-uint64_t EdgeScalarTreeBuildBytes(uint32_t num_vertices, uint64_t num_edges);
-
-/// Budget-guarded Algorithm 3 (see BuildVertexScalarTreeGuarded for the
-/// charge/deadline contract): ResourceExhausted / DeadlineExceeded
-/// instead of allocator death, InvalidArgument on a field size mismatch.
-StatusOr<ScalarTree> BuildEdgeScalarTreeGuarded(const Graph& g,
-                                                const EdgeScalarField& field,
-                                                ResourceBudget* budget);
 
 /// The naive dual-graph baseline: materialize the line graph and run
 /// Algorithm 1 on it. Produces a tree identical to BuildEdgeScalarTree

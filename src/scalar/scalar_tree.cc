@@ -6,7 +6,6 @@
 #include <cassert>
 #include <numeric>
 
-#include "common/string_util.h"
 #include "scalar/tree_core.h"
 
 namespace graphscape {
@@ -68,29 +67,6 @@ ScalarTree BuildVertexScalarTree(const Graph& g,
 ScalarTree BuildVertexScalarTreeParallel(const Graph& g,
                                          const VertexScalarField& field,
                                          const ParallelOptions& /*options*/) {
-  return BuildVertexScalarTree(g, field);
-}
-
-uint64_t VertexScalarTreeBuildBytes(uint32_t num_vertices) {
-  // order + rank + uf + comp_size + head + parents (u32 each) plus the
-  // values copy the ScalarTree keeps (f64). The sort's u64 key array is
-  // freed before the sweep arrays exist, and order + rank + keys (16 B
-  // per vertex) stays below the sweep's own peak, so this bounds it.
-  return static_cast<uint64_t>(num_vertices) * (6 * 4 + 8);
-}
-
-StatusOr<ScalarTree> BuildVertexScalarTreeGuarded(
-    const Graph& g, const VertexScalarField& field, ResourceBudget* budget) {
-  if (field.Size() != g.NumVertices()) {
-    return Status::InvalidArgument(StrPrintf(
-        "scalar_tree: field has %u values for %u vertices", field.Size(),
-        g.NumVertices()));
-  }
-  Status status = CheckBudgetDeadline(budget, "BuildVertexScalarTree");
-  if (!status.ok()) return status;
-  status = ChargeBudget(budget, VertexScalarTreeBuildBytes(g.NumVertices()),
-                        "BuildVertexScalarTree");
-  if (!status.ok()) return status;
   return BuildVertexScalarTree(g, field);
 }
 

@@ -28,9 +28,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/budget.h"
 #include "common/parallel.h"
-#include "common/status.h"
 #include "graph/graph.h"
 #include "scalar/scalar_field.h"
 
@@ -83,22 +81,6 @@ ScalarTree BuildVertexScalarTree(const Graph& g,
 ScalarTree BuildVertexScalarTreeParallel(const Graph& g,
                                          const VertexScalarField& field,
                                          const ParallelOptions& options = {});
-
-/// Working-set bytes BuildVertexScalarTree allocates for an n-vertex
-/// graph (order/rank, union-find state, parents, the values copy) — the
-/// amount the guarded build charges before running.
-uint64_t VertexScalarTreeBuildBytes(uint32_t num_vertices);
-
-/// Budget-guarded Algorithm 1: charges the working set against `budget`
-/// (nullptr = unlimited) before allocating and checks the deadline, so
-/// an over-budget build refuses with ResourceExhausted /
-/// DeadlineExceeded instead of dying in the allocator mid-sweep. A
-/// field/graph size mismatch is InvalidArgument here (the unguarded
-/// build asserts). The charge is NOT released on success — the caller
-/// owns the returned tree's memory and releases when it drops it.
-StatusOr<ScalarTree> BuildVertexScalarTreeGuarded(
-    const Graph& g, const VertexScalarField& field,
-    ResourceBudget* budget);
 
 }  // namespace graphscape
 

@@ -71,7 +71,7 @@ StatusOr<TreeArtifact> DeserializeTreeArtifact(const std::string& bytes);
 /// or the complete new version. File errors keep the fs layer's codes:
 /// NotFound for a missing file, Unavailable for transient I/O (the
 /// retryable class). ReadFileBytes — the read half, which callers like
-/// tools/tree_io_check.cc use to byte-compare artifacts — now lives in
+/// `cache_fsck tree-verify` use to byte-compare artifacts — now lives in
 /// common/fs.h, re-exported via the include above.
 Status SaveTreeArtifact(const TreeArtifact& artifact,
                         const std::string& path);

@@ -1,19 +1,16 @@
 // Copyright 2026 The GraphScape Authors.
 // Licensed under the Apache License, Version 2.0.
 //
-// Budget-guarded terrain rendering: the full field -> tree -> layout ->
-// raster -> image pipeline behind a ResourceBudget, degrading
-// deliberately instead of dying in the allocator when a paper-scale
-// render would blow the cap. The ladder, tried in order until a rung's
-// working set fits the budget:
+// Budget-guarded terrain rendering of a built SuperTree: layout ->
+// raster -> image behind a ResourceBudget, degrading deliberately
+// instead of dying in the allocator when a paper-scale render would blow
+// the cap. The ladder, tried in order until a rung's working set fits
+// the budget:
 //
-//   1. the full-detail tree at the requested resolution;
-//   2. a persistence-simplified tree (scalar/persistence.h — features
-//      below a fraction of the field range are cancelled), same
-//      resolution: fewer super nodes, smaller layout, less overdraw;
-//   3. the simplified tree with raster AND image resolution halved,
-//      then quartered, ... down to min_raster_dim;
-//   4. ResourceExhausted — every rung refused.
+//   1. the tree at the requested raster and image resolution;
+//   2. raster AND image resolution halved, then quartered, ... down to
+//      min_raster_dim;
+//   3. ResourceExhausted — every rung refused.
 //
 // Each rung charges its estimated working set (the formula is public so
 // tests pin the ladder exactly) BEFORE building anything; a refused
@@ -29,9 +26,6 @@
 
 #include "common/budget.h"
 #include "common/status.h"
-#include "graph/graph.h"
-#include "scalar/edge_scalar_tree.h"
-#include "scalar/scalar_field.h"
 #include "scalar/super_tree.h"
 #include "terrain/render.h"
 #include "terrain/terrain_layout.h"
@@ -46,22 +40,17 @@ struct GuardedRenderOptions {
   uint32_t image_height = 720;
   Camera camera;
   TerrainLayoutOptions layout;
-  /// Rung-2 persistence threshold as a fraction of the field's value
-  /// range (the features a reader can't see at reduced budget anyway).
-  double simplify_persistence_fraction = 0.02;
-  /// Halving stops once either raster dimension would drop below this;
-  /// the next refusal is final.
+  /// Halving stops once either raster dimension would drop below this
+  /// (0 counts as 1); the next refusal is final.
   uint32_t min_raster_dim = 64;
 };
 
 /// What was rendered and how degraded it is.
 struct GuardedRenderResult {
   Image image;
-  bool tree_simplified = false;  ///< rung 2+ (persistence-simplified)
-  uint32_t halvings = 0;         ///< rung 3+: times the resolution halved
-  uint32_t raster_width = 0;     ///< actual raster dims used
+  uint32_t halvings = 0;      ///< times the resolution was halved
+  uint32_t raster_width = 0;  ///< actual raster dims used
   uint32_t raster_height = 0;
-  uint32_t tree_nodes = 0;       ///< super nodes in the rendered tree
   /// Bytes still charged against the budget on return (the image the
   /// caller now owns); release when the image is dropped.
   uint64_t retained_bytes = 0;
@@ -80,35 +69,12 @@ uint64_t TerrainRenderWorkingBytes(uint32_t tree_nodes,
                                    uint32_t image_width,
                                    uint32_t image_height);
 
-/// Vertex-field pipeline: guarded Algorithm 1 build (its working set is
-/// charged too, via BuildVertexScalarTreeGuarded), then the ladder.
-/// InvalidArgument on a field/graph size mismatch; ResourceExhausted
-/// when even the cheapest rung refuses; DeadlineExceeded between rungs.
-/// The rung-2 rebuild reuses the standing tree-build charge (the
-/// original sweep's arrays are dropped before it runs).
-///
-/// Thread safety: safe to call concurrently with distinct budgets (or a
-/// shared ResourceBudget, which is internally synchronized). Reads the
-/// graph and field without synchronization, so callers must not mutate
-/// them during the call. Allocation: everything transient is freed on
-/// return; only the returned image (result.retained_bytes) stays
-/// charged to the budget.
-StatusOr<GuardedRenderResult> RenderVertexTerrainGuarded(
-    const Graph& g, const VertexScalarField& field, ResourceBudget* budget,
-    const GuardedRenderOptions& options = {});
-
-/// Edge-field twin (guarded Algorithm 3 + the same ladder). Same
-/// thread-safety and allocation contract as the vertex entry point.
-StatusOr<GuardedRenderResult> RenderEdgeTerrainGuarded(
-    const Graph& g, const EdgeScalarField& field, ResourceBudget* budget,
-    const GuardedRenderOptions& options = {});
-
-/// Tree-only entry point for callers that already hold a built SuperTree
-/// (the query service's TILE verb renders cached TreeArtifacts this
-/// way). Without the Graph there is no persistence rung — the ladder is
-/// the full tree at full resolution, then resolution halving down to
-/// min_raster_dim; simplify_persistence_fraction is ignored. No build
-/// charge is taken: the tree is the caller's standing allocation.
+/// Renders `tree` down the ladder above (the query service's TILE verb
+/// renders cached TreeArtifacts this way). ResourceExhausted when even
+/// the cheapest rung refuses; DeadlineExceeded between rungs. No charge
+/// is taken for the tree: it is the caller's standing allocation.
+/// Everything transient is freed on return; only the returned image
+/// (result.retained_bytes) stays charged to the budget.
 ///
 /// Thread safety: concurrent calls over the SAME tree are safe only if
 /// tree.MemberIndex() has already been built (it is lazily constructed

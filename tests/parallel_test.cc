@@ -4,12 +4,11 @@
 // The determinism contract of the parallel construction engine
 // (docs/PARALLELISM.md), pinned:
 //
-//  * pool primitives — every index visited exactly once, lane ids dense,
-//    fixed-order reduction;
+//  * pool primitives — every index visited exactly once, lane ids dense;
 //  * the two *Parallel tree-build forwards — byte-identical
 //    TreeArtifact serialization vs the builds they forward to;
 //  * parallel metrics / layout / raster — exactly equal to the same
-//    call on one lane for every width.
+//    call on one lane for every width (PageRank: to a push-form oracle).
 //
 // Everything here runs under the CI TSan leg with GRAPHSCAPE_THREADS=4,
 // which is what actually exercises the pool's publication/completion
@@ -93,19 +92,6 @@ TEST(ParallelForBlocksTest, LaneIdsAreDense) {
   });
   for (uint64_t b = 0; b < kBlocks; ++b) ASSERT_EQ(blocks_run[b].load(), 1u);
   EXPECT_LT(max_lane.load(), lanes);
-}
-
-TEST(ParallelReduceTest, SumMatchesSequentialForEveryWidth) {
-  constexpr uint64_t kCount = 4999;
-  uint64_t expected = 0;
-  for (uint64_t i = 0; i < kCount; ++i) expected += i * i;
-  for (const uint32_t width : kWidths) {
-    const uint64_t got = ParallelReduce<uint64_t>(
-        0, kCount, {width, 128}, 0,
-        [](uint64_t i, uint64_t* acc) { *acc += i * i; },
-        [](uint64_t total, uint64_t partial) { return total + partial; });
-    EXPECT_EQ(got, expected) << "width " << width;
-  }
 }
 
 TEST(EffectiveLanesTest, ClampsToBlocksAndCeiling) {
@@ -289,16 +275,54 @@ TEST(ParallelMetricsTest, ClusteringBitIdentical) {
   }
 }
 
+// Independent oracle: the push form of power iteration. Each v scatters
+// `damping * rank[v] / deg(v)` to its neighbours in ascending v order, so
+// next[u] receives the same terms in the same order as the library's
+// pull over u's sorted CSR run — the results must be bit-identical.
+std::vector<double> PushPageRank(const Graph& g,
+                                 const PageRankOptions& options) {
+  const uint32_t n = g.NumVertices();
+  if (n == 0) return {};
+  const double inv_n = 1.0 / static_cast<double>(n);
+  std::vector<double> rank(n, inv_n);
+  std::vector<double> next(n, 0.0);
+  for (uint32_t iter = 0; iter < options.max_iterations; ++iter) {
+    double dangling = 0.0;
+    for (uint32_t v = 0; v < n; ++v) {
+      if (g.Degree(v) == 0) dangling += rank[v];
+    }
+    const double base = (1.0 - options.damping) * inv_n +
+                        options.damping * dangling * inv_n;
+    for (uint32_t v = 0; v < n; ++v) next[v] = base;
+    for (uint32_t v = 0; v < n; ++v) {
+      const uint32_t d = g.Degree(v);
+      if (d == 0) continue;
+      const double share = options.damping * rank[v] / d;
+      for (const VertexId u : g.Neighbors(v)) next[u] += share;
+    }
+    double delta = 0.0;
+    for (uint32_t v = 0; v < n; ++v) delta += std::abs(next[v] - rank[v]);
+    rank.swap(next);
+    if (delta < options.tolerance) break;
+  }
+  return rank;
+}
+
 TEST(ParallelMetricsTest, PageRankBitIdentical) {
   // Includes isolated vertices so the dangling-mass path is exercised.
   Rng rng(19);
   const Graph g = ErdosRenyi(3000, 0.002, &rng);
+  const std::vector<double> oracle = PushPageRank(g, {});
   const std::vector<double> seq = PageRank(g);
+  ASSERT_EQ(seq.size(), oracle.size());
+  for (size_t v = 0; v < oracle.size(); ++v) {
+    ASSERT_EQ(seq[v], oracle[v]) << "v " << v;
+  }
   for (const uint32_t width : kWidths) {
     const std::vector<double> par = PageRankParallel(g, {}, {width, 0});
-    ASSERT_EQ(par.size(), seq.size());
-    for (size_t v = 0; v < seq.size(); ++v) {
-      ASSERT_EQ(par[v], seq[v]) << "v " << v << " width " << width;
+    ASSERT_EQ(par.size(), oracle.size());
+    for (size_t v = 0; v < oracle.size(); ++v) {
+      ASSERT_EQ(par[v], oracle[v]) << "v " << v << " width " << width;
     }
   }
 }

@@ -6,7 +6,9 @@
 // component, non-negative persistence) on random graphs for vertex and
 // edge trees, and the SimplifyByPersistence contract: tau = 0 is the
 // identity, cancelled features vanish, survivors keep their pairs — the
-// consistency pin against §II-E level quantization.
+// consistency pin against §II-E level quantization — and stability: the
+// bottleneck distance between the diagrams of f and f + eta is at most
+// ||eta||_inf, checked with a brute-force matcher.
 
 #include "scalar/persistence.h"
 
@@ -282,6 +284,146 @@ TEST(PersistenceTest, EdgeTreeSimplificationSharesTheCore) {
   const SuperTree simplified = SimplifyEdgeByPersistence(g, field, 6.0);
   EXPECT_EQ(CountComponentsAtLevel(simplified, 6.0), 1u);
   EXPECT_EQ(CountComponentsAtLevel(simplified, 2.0), 1u);
+}
+
+// ---- Stability (Yan et al.): d_B(Dgm f, Dgm g) <= ||f - g||_inf ----
+
+struct DiagramPoint {
+  double birth, death;
+};
+
+// Square cost matrix of the bipartite matching problem: rows are a's
+// points, then (with the diagonal) one diagonal slot per point of b;
+// columns are b's points, then one diagonal slot per point of a. A point
+// matched to the diagonal costs half its persistence, two diagonal slots
+// cost nothing. Without the diagonal a and b must be the same size.
+std::vector<std::vector<double>> MatchingCosts(
+    const std::vector<DiagramPoint>& a, const std::vector<DiagramPoint>& b,
+    bool diagonal) {
+  const size_t n = diagonal ? a.size() + b.size() : a.size();
+  std::vector<std::vector<double>> cost(n, std::vector<double>(n, 0.0));
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      if (i < a.size() && j < b.size()) {
+        cost[i][j] = std::max(std::abs(a[i].birth - b[j].birth),
+                              std::abs(a[i].death - b[j].death));
+      } else if (i < a.size()) {
+        cost[i][j] = (a[i].birth - a[i].death) / 2;
+      } else if (j < b.size()) {
+        cost[i][j] = (b[j].birth - b[j].death) / 2;
+      }
+    }
+  }
+  return cost;
+}
+
+// Kuhn's augmenting path from `row` over the edges of cost <= eps.
+bool Augment(const std::vector<std::vector<double>>& cost, double eps,
+             size_t row, std::vector<bool>* seen,
+             std::vector<int>* row_of_col) {
+  for (size_t col = 0; col < cost.size(); ++col) {
+    if (cost[row][col] > eps || (*seen)[col]) continue;
+    (*seen)[col] = true;
+    const int owner = (*row_of_col)[col];
+    if (owner < 0 || Augment(cost, eps, owner, seen, row_of_col)) {
+      (*row_of_col)[col] = static_cast<int>(row);
+      return true;
+    }
+  }
+  return false;
+}
+
+// The least candidate cost admitting a perfect matching whose every edge
+// costs at most it: the bottleneck distance, by binary search over the
+// matrix's entries (the largest always admits one).
+double BottleneckCost(const std::vector<std::vector<double>>& cost) {
+  std::vector<double> candidates = {0.0};
+  for (const auto& row : cost) {
+    candidates.insert(candidates.end(), row.begin(), row.end());
+  }
+  std::sort(candidates.begin(), candidates.end());
+  size_t lo = 0, hi = candidates.size() - 1;
+  while (lo < hi) {
+    const size_t mid = (lo + hi) / 2;
+    std::vector<int> row_of_col(cost.size(), -1);
+    bool perfect = true;
+    for (size_t row = 0; row < cost.size() && perfect; ++row) {
+      std::vector<bool> seen(cost.size(), false);
+      perfect = Augment(cost, candidates[mid], row, &seen, &row_of_col);
+    }
+    if (perfect) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return candidates[lo];
+}
+
+// Bottleneck distance between two trees' diagrams: essential pairs are
+// matched among themselves, the others with the diagonal.
+double DiagramDistance(const ScalarTree& f, const ScalarTree& g) {
+  std::vector<DiagramPoint> essential[2], ordinary[2];
+  const ScalarTree* trees[2] = {&f, &g};
+  for (int t = 0; t < 2; ++t) {
+    for (const PersistencePair& pair : PersistencePairs(*trees[t])) {
+      (pair.essential ? essential : ordinary)[t].push_back(
+          {pair.birth, pair.death});
+    }
+    EXPECT_LE(essential[t].size() + ordinary[t].size(), 40u);
+  }
+  EXPECT_EQ(essential[0].size(), essential[1].size());
+  if (essential[0].size() != essential[1].size()) return HUGE_VAL;
+  return std::max(
+      BottleneckCost(MatchingCosts(essential[0], essential[1], false)),
+      BottleneckCost(MatchingCosts(ordinary[0], ordinary[1], true)));
+}
+
+TEST(PersistenceTest, BottleneckDistanceIsBoundedByThePerturbation) {
+  Rng rng(2106);
+  // A path, a BA graph, an ER graph, and a disconnected graph: a path, a
+  // triangle, a lone edge and an isolated vertex.
+  GraphBuilder disjoint(14);
+  for (uint32_t v = 0; v + 1 < 8; ++v) disjoint.AddEdge(v, v + 1);
+  disjoint.AddEdge(8, 9);
+  disjoint.AddEdge(9, 10);
+  disjoint.AddEdge(8, 10);
+  disjoint.AddEdge(11, 12);
+  const Graph graphs[] = {Path(20), BarabasiAlbert(18, 2, &rng),
+                          ErdosRenyi(22, 0.15, &rng), disjoint.Build()};
+  // A draw of n values: integer levels (plateaus) or continuous ones.
+  const auto draw = [&rng](size_t n, bool plateaus) {
+    std::vector<double> values(n);
+    for (double& x : values) {
+      x = plateaus ? static_cast<double>(rng.UniformInt(5))
+                   : 10.0 * rng.UniformDouble();
+    }
+    return values;
+  };
+  for (const Graph& g : graphs) {
+    for (const bool edge : {false, true}) {
+      const size_t n = edge ? g.NumEdges() : g.NumVertices();
+      const auto tree = [&](const std::vector<double>& values) {
+        return edge ? BuildEdgeScalarTree(g, EdgeScalarField("f", values))
+                    : BuildVertexScalarTree(g, VertexScalarField("f", values));
+      };
+      for (const bool plateaus : {false, true}) {
+        for (const double scale : {1e-3, 0.05, 0.5, 2.0}) {
+          for (int trial = 0; trial < 4; ++trial) {
+            const std::vector<double> f = draw(n, plateaus);
+            std::vector<double> perturbed(f);
+            double sup = 0.0;
+            for (size_t i = 0; i < n; ++i) {
+              perturbed[i] += scale * (2.0 * rng.UniformDouble() - 1.0);
+              sup = std::max(sup, std::abs(perturbed[i] - f[i]));
+            }
+            EXPECT_LE(DiagramDistance(tree(f), tree(perturbed)), sup + 1e-12)
+                << (edge ? "edge" : "vertex") << " tree, scale " << scale;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

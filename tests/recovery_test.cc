@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/budget.h"
 #include "common/failpoint.h"
 #include "common/fs.h"
 #include "common/retry.h"
@@ -282,8 +283,8 @@ TEST_F(RecoveryTest, PersistentFaultSurfacesAfterRetriesWithOldEntryIntact) {
   EXPECT_EQ(MustSerialize(loaded.value()), MustSerialize(old_artifact));
 }
 
-// A rebuild that itself fails (injected allocation-cap hit in the
-// builder's ResourceBudget) propagates the builder's refusal.
+// A rebuild that itself fails (an over-cap charge against the builder's
+// ResourceBudget) propagates the builder's refusal.
 TEST_F(RecoveryTest, RebuildOverBudgetPropagatesResourceExhausted) {
   const std::string root = FreshRoot("oom");
   const ArtifactKey key{"ds", "KC"};
@@ -293,12 +294,13 @@ TEST_F(RecoveryTest, RebuildOverBudgetPropagatesResourceExhausted) {
         Rng rng(25);
         const Graph g = BarabasiAlbert(180, 3, &rng);
         const auto kc = VertexScalarField::FromCounts("KC", CoreNumbers(g));
+        // Charge the tree's parents and values before building it.
         ResourceBudget tiny(64);
-        StatusOr<ScalarTree> tree =
-            BuildVertexScalarTreeGuarded(g, kc, &tiny);
-        if (!tree.ok()) return tree.status();
+        const Status charged =
+            tiny.ChargeBytes(uint64_t{g.NumVertices()} * 12, "tree build");
+        if (!charged.ok()) return charged;
         TreeArtifact artifact;
-        artifact.tree = SuperTree(tree.value());
+        artifact.tree = SuperTree(BuildVertexScalarTree(g, kc));
         return artifact;
       });
   ASSERT_FALSE(result.ok());

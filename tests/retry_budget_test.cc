@@ -3,8 +3,8 @@
 //
 // Retry backoff (exact schedule under an injected sleeper, deterministic
 // jitter, retry-only-the-retryable), ResourceBudget accounting (charge /
-// release / refusal / injected clock deadline), the budget-guarded tree
-// builds, and the degrading render ladder rung by rung.
+// release / refusal / injected clock deadline), and the degrading render
+// ladder rung by rung.
 
 #include "common/budget.h"
 #include "common/retry.h"
@@ -17,7 +17,6 @@
 #include "common/rng.h"
 #include "gen/generators.h"
 #include "metrics/kcore.h"
-#include "scalar/edge_scalar_tree.h"
 #include "scalar/scalar_tree.h"
 #include "terrain/guarded_render.h"
 
@@ -168,57 +167,15 @@ TEST(BudgetTest, FailpointSeamsInjectCapHitAndExpiry) {
   }
 }
 
-// ---- Guarded builds ----
-
-Graph TestGraph() {
-  Rng rng(17);
-  return BarabasiAlbert(300, 3, &rng);
-}
-
-TEST(GuardedBuildTest, VertexBuildMatchesUnguardedAndChargesExactly) {
-  const Graph g = TestGraph();
-  const auto kc = VertexScalarField::FromCounts("KC", CoreNumbers(g));
-  ResourceBudget budget(1ull << 30);
-  const StatusOr<ScalarTree> guarded =
-      BuildVertexScalarTreeGuarded(g, kc, &budget);
-  ASSERT_TRUE(guarded.ok()) << guarded.status().ToString();
-  EXPECT_EQ(budget.charged_bytes(),
-            VertexScalarTreeBuildBytes(g.NumVertices()));
-  const ScalarTree plain = BuildVertexScalarTree(g, kc);
-  EXPECT_EQ(guarded.value().Parents(), plain.Parents());
-  EXPECT_EQ(guarded.value().Values(), plain.Values());
-  EXPECT_EQ(guarded.value().NumRoots(), plain.NumRoots());
-}
-
-TEST(GuardedBuildTest, EdgeBuildMatchesUnguardedAndChargesExactly) {
-  const Graph g = TestGraph();
-  EdgeScalarField weights(
-      "W", std::vector<double>(g.NumEdges(), 1.0));
-  ResourceBudget budget(1ull << 30);
-  const StatusOr<ScalarTree> guarded =
-      BuildEdgeScalarTreeGuarded(g, weights, &budget);
-  ASSERT_TRUE(guarded.ok()) << guarded.status().ToString();
-  EXPECT_EQ(budget.charged_bytes(),
-            EdgeScalarTreeBuildBytes(g.NumVertices(), g.NumEdges()));
-  const ScalarTree plain = BuildEdgeScalarTree(g, weights);
-  EXPECT_EQ(guarded.value().Parents(), plain.Parents());
-}
-
-TEST(GuardedBuildTest, RefusesOverBudgetAndBadArguments) {
-  const Graph g = TestGraph();
-  const auto kc = VertexScalarField::FromCounts("KC", CoreNumbers(g));
-  ResourceBudget tiny(16);
-  EXPECT_EQ(BuildVertexScalarTreeGuarded(g, kc, &tiny).status().code(),
-            StatusCode::kResourceExhausted);
-  EXPECT_EQ(tiny.charged_bytes(), 0u);  // refusal leaves the ledger clean
-
-  const VertexScalarField short_field("KC", {1.0, 2.0});
-  EXPECT_EQ(
-      BuildVertexScalarTreeGuarded(g, short_field, nullptr).status().code(),
-      StatusCode::kInvalidArgument);
-}
-
 // ---- The degrading render ladder ----
+
+// The super tree of a BA-300 graph's K-Core field.
+SuperTree TestTree() {
+  Rng rng(17);
+  const Graph g = BarabasiAlbert(300, 3, &rng);
+  return SuperTree(BuildVertexScalarTree(
+      g, VertexScalarField::FromCounts("KC", CoreNumbers(g))));
+}
 
 GuardedRenderOptions SmallRender() {
   GuardedRenderOptions options;
@@ -231,104 +188,69 @@ GuardedRenderOptions SmallRender() {
 }
 
 TEST(GuardedRenderTest, UnlimitedBudgetRendersFullDetail) {
-  const Graph g = TestGraph();
-  const auto kc = VertexScalarField::FromCounts("KC", CoreNumbers(g));
-  const auto result =
-      RenderVertexTerrainGuarded(g, kc, nullptr, SmallRender());
+  const SuperTree tree = TestTree();
+  const auto result = RenderTreeTerrainGuarded(tree, nullptr, SmallRender());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_FALSE(result.value().tree_simplified);
   EXPECT_EQ(result.value().halvings, 0u);
   EXPECT_EQ(result.value().raster_width, 256u);
   EXPECT_EQ(result.value().image.width, 320u);
-  EXPECT_GT(result.value().tree_nodes, 0u);
 }
 
 TEST(GuardedRenderTest, GenerousBudgetRetainsOnlyTheImage) {
-  const Graph g = TestGraph();
-  const auto kc = VertexScalarField::FromCounts("KC", CoreNumbers(g));
+  const SuperTree tree = TestTree();
   ResourceBudget budget(1ull << 30);
-  const auto result =
-      RenderVertexTerrainGuarded(g, kc, &budget, SmallRender());
+  const auto result = RenderTreeTerrainGuarded(tree, &budget, SmallRender());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_FALSE(result.value().tree_simplified);
   // Everything except the returned image went back to the budget.
   EXPECT_EQ(budget.charged_bytes(), result.value().retained_bytes);
   EXPECT_EQ(result.value().retained_bytes, 320ull * 240 * 3);
 }
 
-TEST(GuardedRenderTest, TightBudgetDegradesToSimplifiedHalvedRender) {
-  const Graph g = TestGraph();
-  const auto kc = VertexScalarField::FromCounts("KC", CoreNumbers(g));
-  const GuardedRenderOptions options = SmallRender();
-
-  // First learn the full tree size, then cap the budget at exactly the
-  // halved-resolution rung (full-node count is an upper bound on the
-  // simplified count, so the cap provably refuses rungs 1 and 2 — their
-  // pixel terms alone exceed it — and provably admits the halved rung).
-  const auto probe = RenderVertexTerrainGuarded(g, kc, nullptr, options);
-  ASSERT_TRUE(probe.ok());
-  const uint32_t full_nodes = probe.value().tree_nodes;
-  const uint64_t cap =
-      VertexScalarTreeBuildBytes(g.NumVertices()) +
-      TerrainRenderWorkingBytes(full_nodes, 128, 128, 160, 120);
-
-  ResourceBudget budget(cap);
-  const auto result = RenderVertexTerrainGuarded(g, kc, &budget, options);
+TEST(GuardedRenderTest, TightBudgetDegradesToHalvedRender) {
+  const SuperTree tree = TestTree();
+  // Capped at exactly the halved-resolution rung: the full rung's pixel
+  // terms alone exceed it, and the halved rung fits.
+  ResourceBudget budget(
+      TerrainRenderWorkingBytes(tree.NumNodes(), 128, 128, 160, 120));
+  const auto result = RenderTreeTerrainGuarded(tree, &budget, SmallRender());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(result.value().tree_simplified);
   EXPECT_EQ(result.value().halvings, 1u);
   EXPECT_EQ(result.value().raster_width, 128u);
   EXPECT_EQ(result.value().image.width, 160u);
-  EXPECT_LE(result.value().tree_nodes, full_nodes);
+  EXPECT_EQ(budget.charged_bytes(), 160ull * 120 * 3);
 }
 
 TEST(GuardedRenderTest, ExhaustsTheLadderWhenNothingFits) {
-  const Graph g = TestGraph();
-  const auto kc = VertexScalarField::FromCounts("KC", CoreNumbers(g));
-  // Enough for the tree build, nowhere near any render rung.
-  ResourceBudget budget(VertexScalarTreeBuildBytes(g.NumVertices()) + 64);
-  const auto result =
-      RenderVertexTerrainGuarded(g, kc, &budget, SmallRender());
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
-  // The ladder released the build charge on the way out.
-  EXPECT_EQ(budget.charged_bytes(), 0u);
+  const SuperTree tree = TestTree();
+  // A zero floor halves down to a 1-pixel raster, then stops too.
+  for (const uint32_t min_raster_dim : {32u, 0u}) {
+    GuardedRenderOptions options = SmallRender();
+    options.min_raster_dim = min_raster_dim;
+    ResourceBudget budget(64);  // nowhere near any render rung
+    const auto result = RenderTreeTerrainGuarded(tree, &budget, options);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+    // Every refused rung left the ledger clean.
+    EXPECT_EQ(budget.charged_bytes(), 0u);
+  }
 }
 
 TEST(GuardedRenderTest, ExpiredDeadlineFailsFastBetweenRungs) {
-  const Graph g = TestGraph();
-  const auto kc = VertexScalarField::FromCounts("KC", CoreNumbers(g));
-  // Injected clock: 0.6s per Now() call. Construction reads it once, the
-  // build's deadline check passes at 0.6s elapsed, the first ladder
-  // check sees 1.2s > 1.0s and refuses.
+  const SuperTree tree = TestTree();
+  // Injected clock: 0.6s per Now() call, and a cap that refuses the full
+  // rung. Construction reads the clock once; the first rung's check sees
+  // 0.6s elapsed and passes, the second's sees 1.2s > 1.0s and refuses
+  // before the halved rung (which would fit) renders.
+  const uint64_t cap =
+      TerrainRenderWorkingBytes(tree.NumNodes(), 128, 128, 160, 120);
   double now = 0.0;
-  ResourceBudget budget(ResourceBudget::kUnlimitedBytes, 1.0, [&now]() {
+  ResourceBudget budget(cap, 1.0, [&now]() {
     now += 0.6;
     return now;
   });
-  const auto result =
-      RenderVertexTerrainGuarded(g, kc, &budget, SmallRender());
+  const auto result = RenderTreeTerrainGuarded(tree, &budget, SmallRender());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-}
-
-TEST(GuardedRenderTest, EdgeLadderDegradesLikeTheVertexOne) {
-  const Graph g = TestGraph();
-  EdgeScalarField weights("W", std::vector<double>(g.NumEdges(), 1.0));
-  const auto full =
-      RenderEdgeTerrainGuarded(g, weights, nullptr, SmallRender());
-  ASSERT_TRUE(full.ok()) << full.status().ToString();
-  EXPECT_FALSE(full.value().tree_simplified);
-
-  const uint64_t cap =
-      EdgeScalarTreeBuildBytes(g.NumVertices(), g.NumEdges()) +
-      TerrainRenderWorkingBytes(full.value().tree_nodes, 128, 128, 160, 120);
-  ResourceBudget budget(cap);
-  const auto degraded =
-      RenderEdgeTerrainGuarded(g, weights, &budget, SmallRender());
-  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
-  EXPECT_TRUE(degraded.value().tree_simplified);
-  EXPECT_EQ(degraded.value().halvings, 1u);
 }
 
 }  // namespace

@@ -13,21 +13,37 @@
 //   cache_fsck corrupt <root> [key]   flip one byte in an entry file
 //                                     (first key when omitted)
 //   cache_fsck kill-manifest <root>   delete MANIFEST (simulated crash)
+//   cache_fsck tree-write <dir>       build KC (vertex) and KT (edge)
+//                                     super trees of GrQc and WikiVote
+//                                     and save them as .gsta files
+//   cache_fsck tree-verify <dir>      load each file tree-write wrote,
+//                                     and fail unless re-serializing it
+//                                     AND this build's own tree of the
+//                                     same dataset give the disk bytes
 //
-// Exit codes: 0 = cache is clean (nothing to fix), 1 = problems were
-// found AND repaired (rerun to confirm 0), 2 = usage error or an
-// unrecoverable failure.
+// CI runs tree-write on the gcc leg and tree-verify on the clang leg,
+// pinning the artifact format and the tree construction across
+// compilers.
+//
+// Exit codes: 0 = cache is clean (nothing to fix) or every tree file
+// verified, 1 = problems were found AND repaired (rerun to confirm 0) or
+// a tree file did not verify, 2 = usage error or an unrecoverable
+// failure.
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fs.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "gen/datasets.h"
 #include "gen/generators.h"
 #include "metrics/kcore.h"
+#include "metrics/ktruss.h"
 #include "scalar/artifact_cache.h"
+#include "scalar/edge_scalar_tree.h"
 #include "scalar/scalar_field.h"
 #include "scalar/scalar_tree.h"
 #include "scalar/super_tree.h"
@@ -37,14 +53,19 @@ namespace {
 
 using graphscape::ArtifactCache;
 using graphscape::ArtifactKey;
+using graphscape::BuildEdgeScalarTree;
+using graphscape::BuildVertexScalarTree;
+using graphscape::DatasetId;
 using graphscape::Status;
 using graphscape::StatusOr;
+using graphscape::TreeArtifact;
 
 int Usage() {
   std::fprintf(stderr,
                "usage: cache_fsck build|scrub|ls <root>\n"
                "       cache_fsck corrupt <root> [key]\n"
-               "       cache_fsck kill-manifest <root>\n");
+               "       cache_fsck kill-manifest <root>\n"
+               "       cache_fsck tree-write|tree-verify <dir>\n");
   return 2;
 }
 
@@ -191,6 +212,93 @@ int KillManifest(const std::string& root) {
   return 0;
 }
 
+struct NamedArtifact {
+  std::string filename;
+  TreeArtifact artifact;
+};
+
+// The artifact set tree-write and tree-verify agree on: deterministic
+// datasets, one vertex tree and one edge tree each.
+std::vector<NamedArtifact> TreeArtifacts() {
+  std::vector<NamedArtifact> artifacts;
+  for (const DatasetId id : {DatasetId::kGrQc, DatasetId::kWikiVote}) {
+    const graphscape::Dataset ds = graphscape::MakeDataset(id);
+    const graphscape::Graph& g = ds.graph;
+    const auto kc = graphscape::VertexScalarField::FromCounts(
+        "KC", graphscape::CoreNumbers(g));
+    const auto kt = graphscape::EdgeScalarField::FromCounts(
+        "KT", graphscape::TrussNumbers(g));
+    NamedArtifact vertex, edge;
+    vertex.filename = std::string(ds.spec.name) + "_kc.gsta";
+    vertex.artifact.tree = graphscape::SuperTree(BuildVertexScalarTree(g, kc));
+    vertex.artifact.field_name = kc.Name();
+    vertex.artifact.field_values = kc.Values();
+    edge.filename = std::string(ds.spec.name) + "_kt.gsta";
+    edge.artifact.tree = graphscape::SuperTree(BuildEdgeScalarTree(g, kt));
+    edge.artifact.field_name = kt.Name();
+    edge.artifact.field_values = kt.Values();
+    artifacts.push_back(std::move(vertex));
+    artifacts.push_back(std::move(edge));
+  }
+  return artifacts;
+}
+
+int TreeWrite(const std::string& dir) {
+  for (const NamedArtifact& named : TreeArtifacts()) {
+    const std::string path = dir + "/" + named.filename;
+    const Status status = graphscape::SaveTreeArtifact(named.artifact, path);
+    if (!status.ok()) {
+      std::fprintf(stderr, "FAIL %s: %s\n", path.c_str(),
+                   status.ToString().c_str());
+      return 2;
+    }
+    std::printf("wrote %s (%u super nodes, %u elements)\n", path.c_str(),
+                named.artifact.tree.NumNodes(),
+                named.artifact.tree.NumElements());
+  }
+  return 0;
+}
+
+// Why `on_disk` does not verify against `named`, or "" when it does.
+std::string TreeMismatch(const NamedArtifact& named,
+                         const std::string& on_disk) {
+  const StatusOr<TreeArtifact> loaded =
+      graphscape::DeserializeTreeArtifact(on_disk);
+  if (!loaded.ok()) return loaded.status().ToString();
+  const StatusOr<std::string> reserialized =
+      graphscape::SerializeTreeArtifact(loaded.value());
+  if (!reserialized.ok() || reserialized.value() != on_disk) {
+    return "re-serialization differs";
+  }
+  // The strongest cross-compiler pin: this build's own tree of the same
+  // dataset must serialize to the writer's bytes exactly.
+  const StatusOr<std::string> rebuilt =
+      graphscape::SerializeTreeArtifact(named.artifact);
+  if (!rebuilt.ok() || rebuilt.value() != on_disk) {
+    return "locally rebuilt tree serializes differently";
+  }
+  return "";
+}
+
+int TreeVerify(const std::string& dir) {
+  int failures = 0;
+  for (const NamedArtifact& named : TreeArtifacts()) {
+    const std::string path = dir + "/" + named.filename;
+    const StatusOr<std::string> read = graphscape::ReadFileBytes(path);
+    const std::string why = read.ok() ? TreeMismatch(named, read.value())
+                                      : read.status().ToString();
+    if (!why.empty()) {
+      std::fprintf(stderr, "FAIL %s: %s\n", path.c_str(), why.c_str());
+      ++failures;
+      continue;
+    }
+    std::printf("OK %s (%u super nodes, %u elements)\n", path.c_str(),
+                named.artifact.tree.NumNodes(),
+                named.artifact.tree.NumElements());
+  }
+  return failures == 0 ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -202,5 +310,7 @@ int main(int argc, char** argv) {
   if (command == "ls") return List(root);
   if (command == "corrupt") return Corrupt(root, argc > 3 ? argv[3] : "");
   if (command == "kill-manifest") return KillManifest(root);
+  if (command == "tree-write") return TreeWrite(root);
+  if (command == "tree-verify") return TreeVerify(root);
   return Usage();
 }
