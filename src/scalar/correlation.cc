@@ -105,7 +105,7 @@ std::vector<double> AverageRanks(const std::vector<double>& values) {
   // ascending rank n-1-p and every tie run is one contiguous stretch.
   const uint32_t n = static_cast<uint32_t>(values.size());
   std::vector<uint32_t> order;
-  tree_core::SortSweepOrder(values, &order, nullptr);
+  tree_core::SortSweepOrder(values, &order);
   std::vector<double> ranks(n);
   uint32_t i = 0;
   while (i < n) {

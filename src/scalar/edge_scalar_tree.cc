@@ -16,15 +16,13 @@ namespace graphscape {
 
 namespace {
 
-// The Algorithm 3 sweep over edge endpoints in EdgeList order. Only the
-// sweep order is needed: unlike the vertex sweep, nothing here reads
-// ranks, so none are built.
+// The Algorithm 3 sweep over edge endpoints in EdgeList order.
 ScalarTree SweepEdges(uint32_t n, uint32_t m, const VertexId* eu,
                       const VertexId* ev,
                       const std::vector<double>& values) {
   // The single sort: edges by (value desc, id asc) — superlevel sweep.
   std::vector<uint32_t> order;
-  tree_core::SortSweepOrder(values, &order, /*rank=*/nullptr);
+  tree_core::SortSweepOrder(values, &order);
 
   // Union-find over the ORIGINAL graph's vertices — this is what makes
   // the dual graph unnecessary. head[r] is the latest-swept edge in the

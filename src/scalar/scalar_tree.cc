@@ -17,51 +17,55 @@ ScalarTree BuildVertexScalarTree(const Graph& g,
   const std::vector<double>& values = field.Values();
 
   // The single sort: vertices by (value desc, id asc) — superlevel sweep
-  // order. rank[v] is v's position in that order; comparing ranks is the
-  // total order used everywhere below.
-  std::vector<uint32_t> order, rank;
-  tree_core::SortSweepOrder(values, &order, &rank);
+  // order.
+  std::vector<uint32_t> order;
+  tree_core::SortSweepOrder(values, &order);
 
   // Union-find state + the tree arena, all sized up front. `head[r]` is the
-  // highest-rank vertex swept so far in the component rooted at r — the
-  // node the next merge will attach to.
+  // vertex swept last so far in the component rooted at r — the node the
+  // next merge will attach to. `swept` holds one bit per vertex: set once
+  // the vertex's own neighbour loop is done.
   std::vector<uint32_t> uf(n);
   std::iota(uf.begin(), uf.end(), 0u);
   std::vector<uint32_t> comp_size(n, 1);
   std::vector<VertexId> head(n);
   std::iota(head.begin(), head.end(), 0u);
   std::vector<VertexId> parents(n, kInvalidVertex);
+  std::vector<uint64_t> swept((static_cast<size_t>(n) + 63) / 64, 0);
 
-  // Sweep. For w at rank k, every CSR neighbor u with rank[u] < k (a
-  // higher-valued vertex, already swept) is exactly an edge whose
-  // activation key max(rank(u), rank(w)) == k; visiting w in rank order
-  // therefore processes all m edges in nondecreasing key order with no
-  // materialized edge array. This loop performs zero heap allocations.
+  // Sweep. For w, every CSR neighbor u already swept (a vertex earlier in
+  // the order) is exactly an edge whose activation key is w's position;
+  // visiting w in sweep order therefore processes all m edges in
+  // nondecreasing key order with no materialized edge array. The
+  // "already swept" probe hits a random vertex per adjacency entry; at
+  // one bit per vertex it stays in cache on million-vertex graphs. w's
+  // bit is set after its own run, so a self-loop never merges. Each
+  // merge gives one parentless head a parent, so the roots are the
+  // vertices minus the merges. This loop performs zero heap allocations.
   uint32_t* const uf_data = uf.data();
   uint32_t* const size_data = comp_size.data();
   VertexId* const head_data = head.data();
   VertexId* const parent_data = parents.data();
-  const uint32_t* const rank_data = rank.data();
-  for (uint32_t k = 0; k < n; ++k) {
-    const VertexId w = order[k];
+  uint64_t* const swept_data = swept.data();
+  uint32_t merges = 0;
+  for (const VertexId w : order) {
     uint32_t rw = tree_core::Find(uf_data, w);
     for (const VertexId u : g.Neighbors(w)) {
-      if (rank_data[u] >= k) continue;  // activates later, when u is swept
+      if (((swept_data[u >> 6] >> (u & 63)) & 1) == 0) {
+        continue;  // activates later, when u is swept
+      }
       const uint32_t ru = tree_core::Find(uf_data, u);
       if (ru == rw) continue;
       // The higher component's head merges into the sweep vertex w.
       rw = tree_core::AttachAndUnion(ru, rw, w, uf_data, size_data,
                                      head_data, parent_data);
+      ++merges;
     }
-  }
-
-  uint32_t num_roots = 0;
-  for (uint32_t v = 0; v < n; ++v) {
-    if (parents[v] == kInvalidVertex) ++num_roots;
+    swept_data[w >> 6] |= uint64_t{1} << (w & 63);
   }
 
   return ScalarTree(std::move(parents), std::vector<double>(values),
-                    std::move(order), num_roots);
+                    std::move(order), n - merges);
 }
 
 ScalarTree BuildVertexScalarTreeParallel(const Graph& g,

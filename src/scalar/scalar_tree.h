@@ -14,13 +14,16 @@
 // Construction is engineered for the memory-bound reality of merge trees
 // (cf. TACHYON): ONE sort — vertices by (value desc, id asc) — then a
 // union-find sweep over edges in nondecreasing activation order. An edge
-// {u, v} activates at key max(rank(u), rank(v)); walking vertices in rank
-// order and scanning each one's CSR run enumerates edges already grouped
-// and sorted by that key, so the per-edge counting sort is implicit in the
-// CSR layout and costs zero extra passes. The sweep uses path-halving find
-// with union by size over three pre-sized flat uint32 arrays; tree nodes
-// live in the parallel arrays below (a struct-of-arrays arena) — no
-// per-node heap allocation anywhere in the loop.
+// {u, v} activates when the later of its two endpoints is swept; walking
+// vertices in sweep order and scanning each one's CSR run for neighbours
+// already swept enumerates edges already grouped and sorted by that key,
+// so the per-edge counting sort is implicit in the CSR layout and costs
+// zero extra passes. "Already swept" is one bit per vertex, not a rank
+// array, so the test stays in cache on million-vertex graphs. The sweep
+// uses path-halving find with union by size over three pre-sized flat
+// uint32 arrays; tree nodes live in the parallel arrays below (a
+// struct-of-arrays arena) — no per-node heap allocation anywhere in the
+// loop.
 
 #ifndef GRAPHSCAPE_SCALAR_SCALAR_TREE_H_
 #define GRAPHSCAPE_SCALAR_SCALAR_TREE_H_

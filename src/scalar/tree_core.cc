@@ -26,8 +26,7 @@ inline uint64_t DescendingKey(double v) {
 }  // namespace
 
 void SortSweepOrder(const std::vector<double>& values,
-                    std::vector<uint32_t>* order,
-                    std::vector<uint32_t>* rank) {
+                    std::vector<uint32_t>* order) {
   constexpr uint32_t kDigitBits = 11;
   constexpr uint64_t kDigitMask = (1u << kDigitBits) - 1;
   const uint32_t n = static_cast<uint32_t>(values.size());
@@ -44,12 +43,10 @@ void SortSweepOrder(const std::vector<double>& values,
   }
 
   order->resize(n);
-  std::vector<uint32_t> scratch;
-  std::vector<uint32_t>* const other = rank != nullptr ? rank : &scratch;
-  if (passes > 1) other->resize(n);
+  std::vector<uint32_t> other(passes > 1 ? n : 0);
   // Ping-pong so the last pass lands in *order. The first pass reads the
   // ascending ids straight off the loop counter.
-  uint32_t* dst = passes % 2 == 1 ? order->data() : other->data();
+  uint32_t* dst = passes % 2 == 1 ? order->data() : other.data();
   const uint32_t* src = nullptr;
   uint32_t bucket[kDigitMask + 1];
   for (uint32_t p = 0; p < passes; ++p) {
@@ -65,12 +62,9 @@ void SortSweepOrder(const std::vector<double>& values,
       dst[bucket[(keys[id] >> shift) & kDigitMask]++] = id;
     }
     src = dst;
-    dst = dst == order->data() ? other->data() : order->data();
+    dst = dst == order->data() ? other.data() : order->data();
   }
   if (passes == 0) std::iota(order->begin(), order->end(), 0u);
-  if (rank == nullptr) return;
-  rank->resize(n);
-  for (uint32_t i = 0; i < n; ++i) (*rank)[(*order)[i]] = i;
 }
 
 }  // namespace tree_core

@@ -3,13 +3,13 @@
 //
 // The shared core both scalar-tree paths (vertex fields, Algorithm 1;
 // edge fields, Algorithm 3 — see PAPER.md / paper §II-C) instantiate:
-// the (value, id) rank sort, the path-halving union-find primitive, the
+// the (value, id) sweep sort, the path-halving union-find primitive, the
 // attach-and-union merge step, uniform level quantization (§II-E), and
 // Algorithm 2's same-value chain contraction (§II-D).
 //
 // The invariants that make one core serve both element types:
 //
-//  * Rank sort (SortSweepOrder). The sweep runs DESCENDING in value —
+//  * Sweep sort (SortSweepOrder). The sweep runs DESCENDING in value —
 //    the paper's superlevel-set orientation, G[t] = {x : f(x) >= t} —
 //    because the analysis layer's whole vocabulary (peaks, dense cores,
 //    persistence of maxima) is about components of superlevel sets: a
@@ -19,8 +19,8 @@
 //    give a TOTAL order over field elements, so "the component
 //    containing x when element y is swept" is well defined even on
 //    plateau-heavy integer fields (K-Core, K-Truss). Both algorithms
-//    sweep strictly in rank order; every downstream structure quotes
-//    ranks, never raw values.
+//    sweep strictly in this order; every downstream structure follows
+//    it, never raw values.
 //
 //  * Attach-and-union (AttachAndUnion). A union-find root stands for one
 //    growing superlevel-set component; head[root] is the LAST element of
@@ -70,18 +70,15 @@ inline uint32_t Find(uint32_t* uf, uint32_t x) {
 
 // The single sort both algorithms hinge on: element ids by (value
 // descending, id ascending) — the superlevel sweep order. Fills *order
-// with the sorted ids and, when `rank` is non-null, *rank with its
-// inverse; comparing ranks is the total order the vertex sweep uses
-// (rank 0 is the global maximum). A stable LSD radix sort over an
-// order-preserving 64-bit key of each value: linear in n, ids seeded
-// ascending so ties stay in id order, and digits on which every key
-// agrees skipped (integer fields below 512, such as K-Core / K-Truss
-// numbers, take 2 passes; distinct doubles 6). *rank doubles as the
-// ping-pong buffer. Values must be finite (CheckedScalarField guarantees
-// it).
+// with the sorted ids; position 0 is the global maximum. A stable LSD
+// radix sort over an order-preserving 64-bit key of each value: linear
+// in n, ids seeded ascending so ties stay in id order, and digits on
+// which every key agrees skipped (integer fields below 512, such as
+// K-Core / K-Truss numbers, take 2 passes; distinct doubles 6). One
+// local buffer is the ping-pong array. Values must be finite
+// (CheckedScalarField guarantees it).
 void SortSweepOrder(const std::vector<double>& values,
-                    std::vector<uint32_t>* order,
-                    std::vector<uint32_t>* rank);
+                    std::vector<uint32_t>* order);
 
 // One merge step of the sweep: the component rooted at `ru` finishes
 // growing — its head becomes a child of sweep node `w` — then unions by

@@ -86,16 +86,17 @@ TEST(AllocationDisciplineTest, BuildAllocationCountIsConstantInGraphSize) {
   EXPECT_EQ(small, large)
       << "allocation count scales with graph size - something allocates "
          "inside the sweep loop";
-  // Algorithm 1's six flat arrays + the sort's key array + the field copy
-  // + Algorithm 2's five; leave headroom for minor standard-library noise
+  // Algorithm 1's order, four union-find/arena arrays and swept bitmap +
+  // the sort's key and ping-pong arrays + the field copy + Algorithm 2's
+  // five; leave headroom for minor standard-library noise
   // but stay well below anything per-node.
   EXPECT_LE(large, 24u);
 }
 
 uint64_t AllocationsDuringSort(const std::vector<double>& values) {
-  std::vector<uint32_t> order, rank;
+  std::vector<uint32_t> order;
   const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-  tree_core::SortSweepOrder(values, &order, &rank);
+  tree_core::SortSweepOrder(values, &order);
   const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
   EXPECT_EQ(order.size(), values.size());
   return after - before;

@@ -14,6 +14,8 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -159,11 +161,10 @@ TEST(ScalarTreeTest, RandomGraphsSatisfyTreeInvariants) {
 }
 
 // Checks SortSweepOrder against a comparator sort by (value desc, id
-// asc), with and without the rank output.
+// asc).
 void ExpectSweepOrderMatchesOracle(const std::vector<double>& values,
                                    const char* label,
-                                   std::vector<uint32_t>* order,
-                                   std::vector<uint32_t>* rank) {
+                                   std::vector<uint32_t>* order) {
   const uint32_t n = static_cast<uint32_t>(values.size());
   std::vector<uint32_t> expected(n);
   std::iota(expected.begin(), expected.end(), 0u);
@@ -172,15 +173,8 @@ void ExpectSweepOrderMatchesOracle(const std::vector<double>& values,
     const double fa = values[a], fb = values[b];
     return fa > fb || (fa == fb && a < b);
   });
-  tree_core::SortSweepOrder(values, order, rank);
+  tree_core::SortSweepOrder(values, order);
   EXPECT_EQ(*order, expected) << label;
-  ASSERT_EQ(rank->size(), n) << label;
-  for (uint32_t i = 0; i < n; ++i) {
-    ASSERT_EQ((*rank)[expected[i]], i) << label << " rank of " << expected[i];
-  }
-  std::vector<uint32_t> order_only;
-  tree_core::SortSweepOrder(values, &order_only, /*rank=*/nullptr);
-  EXPECT_EQ(order_only, expected) << label << " without rank";
 }
 
 TEST(SweepOrderTest, MatchesComparatorOracle) {
@@ -191,28 +185,28 @@ TEST(SweepOrderTest, MatchesComparatorOracle) {
   Rng rng(123);
   // Reused across cases, largest first, so every call overwrites stale
   // contents of a longer previous result.
-  std::vector<uint32_t> order, rank;
+  std::vector<uint32_t> order;
 
   std::vector<double> uniform(kCount);
   for (double& v : uniform) v = rng.UniformDouble();
-  ExpectSweepOrderMatchesOracle(uniform, "uniform doubles", &order, &rank);
+  ExpectSweepOrderMatchesOracle(uniform, "uniform doubles", &order);
 
   std::vector<double> ties(kCount);
   for (double& v : ties) v = static_cast<double>(rng.UniformInt(97));
-  ExpectSweepOrderMatchesOracle(ties, "UniformInt(97)", &order, &rank);
+  ExpectSweepOrderMatchesOracle(ties, "UniformInt(97)", &order);
 
   std::vector<double> negatives(kCount);
   for (double& v : negatives) {
     v = rng.UniformInt(2) == 0 ? -static_cast<double>(rng.UniformInt(50))
                                : (rng.UniformDouble() - 0.5) * 1e6;
   }
-  ExpectSweepOrderMatchesOracle(negatives, "negatives", &order, &rank);
+  ExpectSweepOrderMatchesOracle(negatives, "negatives", &order);
 
   // +0.0 and -0.0 compare equal, so they must tie by id.
   const double signed_zeros_pool[] = {0.0, -0.0, 1.0, -1.0};
   std::vector<double> zeros(kCount);
   for (double& v : zeros) v = signed_zeros_pool[rng.UniformInt(4)];
-  ExpectSweepOrderMatchesOracle(zeros, "signed zeros", &order, &rank);
+  ExpectSweepOrderMatchesOracle(zeros, "signed zeros", &order);
 
   const double extremes_pool[] = {kMax,        -kMax,       kDenorm,
                                   -kDenorm,    2 * kDenorm, kMinNormal,
@@ -220,8 +214,7 @@ TEST(SweepOrderTest, MatchesComparatorOracle) {
                                   1e-310,      -1e-310,     1.0};
   std::vector<double> extremes(kCount);
   for (double& v : extremes) v = extremes_pool[rng.UniformInt(12)];
-  ExpectSweepOrderMatchesOracle(extremes, "subnormals and DBL_MAX", &order,
-                                &rank);
+  ExpectSweepOrderMatchesOracle(extremes, "subnormals and DBL_MAX", &order);
 
   // Values a few ulps apart: only the lowest mantissa bits differ.
   std::vector<double> ulps(kCount);
@@ -232,12 +225,102 @@ TEST(SweepOrderTest, MatchesComparatorOracle) {
       v = std::nextafter(v, 2 * base);
     }
   }
-  ExpectSweepOrderMatchesOracle(ulps, "lowest mantissa bit", &order, &rank);
+  ExpectSweepOrderMatchesOracle(ulps, "lowest mantissa bit", &order);
 
   ExpectSweepOrderMatchesOracle(std::vector<double>(1000, 2.5),
-                                "all values equal", &order, &rank);
-  ExpectSweepOrderMatchesOracle({-3.0}, "n = 1", &order, &rank);
-  ExpectSweepOrderMatchesOracle({}, "n = 0", &order, &rank);
+                                "all values equal", &order);
+  ExpectSweepOrderMatchesOracle({-3.0}, "n = 1", &order);
+  ExpectSweepOrderMatchesOracle({}, "n = 0", &order);
+}
+
+// Oracle for Algorithm 1's sweep: the rank-array form the library used
+// before its swept bitmap. rank[v] is v's position in a comparator sort
+// by (value desc, id asc); a neighbour u of w is already swept iff
+// rank[u] < rank[w]. Roots are counted by a scan over the parents.
+struct SweepOracle {
+  std::vector<VertexId> parents;
+  uint32_t num_roots = 0;
+};
+
+SweepOracle RankArraySweep(const Graph& g, const std::vector<double>& values) {
+  const uint32_t n = g.NumVertices();
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&values](uint32_t a, uint32_t b) {
+    return values[a] > values[b] || (values[a] == values[b] && a < b);
+  });
+  std::vector<uint32_t> rank(n);
+  for (uint32_t k = 0; k < n; ++k) rank[order[k]] = k;
+
+  std::vector<uint32_t> uf(n), comp_size(n, 1), head(n);
+  std::iota(uf.begin(), uf.end(), 0u);
+  std::iota(head.begin(), head.end(), 0u);
+  SweepOracle out;
+  out.parents.assign(n, kInvalidVertex);
+  for (uint32_t k = 0; k < n; ++k) {
+    const VertexId w = order[k];
+    uint32_t rw = tree_core::Find(uf.data(), w);
+    for (const VertexId u : g.Neighbors(w)) {
+      if (rank[u] >= k) continue;
+      const uint32_t ru = tree_core::Find(uf.data(), u);
+      if (ru == rw) continue;
+      rw = tree_core::AttachAndUnion(ru, rw, w, uf.data(), comp_size.data(),
+                                     head.data(), out.parents.data());
+    }
+  }
+  for (const VertexId p : out.parents) {
+    if (p == kInvalidVertex) ++out.num_roots;
+  }
+  return out;
+}
+
+// Two random components on ids 0 and 1 mod 3; ids 2 mod 3 are isolated.
+Graph DisconnectedWithIsolated(uint32_t n, Rng* rng) {
+  GraphBuilder builder(n);
+  for (uint32_t i = 0; i < 3 * n; ++i) {
+    const VertexId u = static_cast<VertexId>(rng->UniformInt(n));
+    const VertexId v = static_cast<VertexId>(rng->UniformInt(n));
+    if (u % 3 != 2 && u % 3 == v % 3) builder.AddEdge(u, v);
+  }
+  return builder.Build();
+}
+
+void ExpectSweepMatchesRankOracle(const Graph& g,
+                                  const std::vector<double>& values,
+                                  const std::string& label) {
+  SCOPED_TRACE(label);
+  const SweepOracle oracle = RankArraySweep(g, values);
+  const ScalarTree tree =
+      BuildVertexScalarTree(g, VertexScalarField("f", values));
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    ASSERT_EQ(tree.Parent(v), oracle.parents[v]) << "vertex " << v;
+  }
+  EXPECT_EQ(tree.NumRoots(), oracle.num_roots);
+}
+
+TEST(ScalarTreeTest, SweptBitmapMatchesRankOracle) {
+  // Sizes cross the bitmap's 64-bit word boundaries.
+  for (const uint32_t n : {1u, 63u, 64u, 65u, 129u, 400u}) {
+    Rng rng(n);
+    std::vector<std::pair<std::string, Graph>> graphs;
+    if (n > 3) graphs.emplace_back("BA", BarabasiAlbert(n, 3, &rng));
+    graphs.emplace_back("ER", ErdosRenyi(n, std::min(1.0, 4.0 / n), &rng));
+    graphs.emplace_back("disconnected", DisconnectedWithIsolated(n, &rng));
+    for (const auto& [name, g] : graphs) {
+      ASSERT_EQ(g.NumVertices(), n);
+      const std::string label = name + " n=" + std::to_string(n);
+      std::vector<double> plateau(n), distinct(n);
+      for (double& v : plateau) v = static_cast<double>(rng.UniformInt(5));
+      std::iota(distinct.begin(), distinct.end(), 0.0);
+      for (uint32_t i = n; i > 1; --i) {
+        std::swap(distinct[i - 1], distinct[rng.UniformInt(i)]);
+      }
+      ExpectSweepMatchesRankOracle(g, std::vector<double>(n, 2.0),
+                                   label + " constant");
+      ExpectSweepMatchesRankOracle(g, plateau, label + " plateau");
+      ExpectSweepMatchesRankOracle(g, distinct, label + " distinct");
+    }
+  }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "gen/datasets.h"
 #include "gen/generators.h"
 #include "metrics/kcore.h"
 #include "metrics/ktruss.h"
@@ -86,6 +87,42 @@ TEST(TreeIoTest, VertexTreeRoundtripIsByteIdentical) {
 
 TEST(TreeIoTest, EdgeTreeRoundtripIsByteIdentical) {
   ExpectRoundtripByteEqual(EdgeArtifact(5));
+}
+
+// Pins the bytes of `cache_fsck tree-write`'s artifacts across commits:
+// the K-Core vertex tree and the K-Truss edge tree of the GrQc and
+// WikiVote stand-ins. Both fields are integer counts, so no libm call
+// can move these digests; a change that does is a change to Algorithm
+// 1, 2 or 3's output and must say so.
+TEST(TreeIoTest, ArtifactDigestsArePinned) {
+  struct Pin {
+    DatasetId id;
+    uint64_t kc_digest;
+    uint64_t kt_digest;
+  };
+  const Pin pins[] = {
+      {DatasetId::kGrQc, 0x64454ecf1dcc6d4aull, 0x20a9d4795d6a33bfull},
+      {DatasetId::kWikiVote, 0xeb93680913ef655bull, 0xcb3ce3d89a1c2492ull},
+  };
+  for (const Pin& pin : pins) {
+    const Dataset ds = MakeDataset(pin.id);
+    SCOPED_TRACE(ds.spec.name);
+    const VertexScalarField kc =
+        VertexScalarField::FromCounts("KC", CoreNumbers(ds.graph));
+    TreeArtifact vertex;
+    vertex.tree = SuperTree(BuildVertexScalarTree(ds.graph, kc));
+    vertex.field_name = kc.Name();
+    vertex.field_values = kc.Values();
+    EXPECT_EQ(Fnv1aChecksum(MustSerialize(vertex)), pin.kc_digest);
+
+    const EdgeScalarField kt =
+        EdgeScalarField::FromCounts("KT", TrussNumbers(ds.graph));
+    TreeArtifact edge;
+    edge.tree = SuperTree(BuildEdgeScalarTree(ds.graph, kt));
+    edge.field_name = kt.Name();
+    edge.field_values = kt.Values();
+    EXPECT_EQ(Fnv1aChecksum(MustSerialize(edge)), pin.kt_digest);
+  }
 }
 
 TEST(TreeIoTest, FieldSectionIsOptional) {
