@@ -82,8 +82,8 @@ bool Run(ArtifactCache& cache, DatasetId id, const std::string& out) {
   timer.Restart();
   const StatusOr<TreeArtifact> truss = cache.GetOrBuild(
       ArtifactKey{dataset_key, "KT"}, [&]() -> StatusOr<TreeArtifact> {
-        const EdgeScalarField kt = EdgeScalarField::FromCounts(
-            "KT", TrussNumbersParallel(ds.graph, {bench::Threads(), 0}));
+        const EdgeScalarField kt =
+            EdgeScalarField::FromCounts("KT", TrussNumbers(ds.graph));
         TreeArtifact artifact;
         artifact.tree = SuperTree(BuildEdgeScalarTree(ds.graph, kt));
         artifact.field_name = kt.Name();

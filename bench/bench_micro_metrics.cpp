@@ -37,7 +37,7 @@ BENCHMARK(BM_CoreNumbers)->Range(1 << 10, 1 << 16);
 
 void BM_TriangleCount(benchmark::State& state) {
   const Graph g = CollabGraph(static_cast<uint32_t>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(CountTriangles(g, {1, 0}));
+  for (auto _ : state) benchmark::DoNotOptimize(CountTriangles(g));
   state.SetItemsProcessed(state.iterations() * g.NumEdges());
 }
 BENCHMARK(BM_TriangleCount)->Range(1 << 10, 1 << 16);
@@ -57,18 +57,8 @@ void BM_PageRank(benchmark::State& state) {
 BENCHMARK(BM_PageRank)->Range(1 << 10, 1 << 16);
 
 // Parallel metric rows (docs/PARALLELISM.md): each /threads:N row is
-// exactly equal (integer metrics) or bit-identical (floating point) to
-// the same call on one lane — tests/parallel_test.cc pins that;
-// these rows record the speed side.
-void BM_TriangleCountParallel(benchmark::State& state) {
-  const uint32_t threads = static_cast<uint32_t>(state.range(0));
-  const Graph g = CollabGraph(1 << 16);
-  const ParallelOptions options{threads, 0};
-  for (auto _ : state) benchmark::DoNotOptimize(CountTriangles(g, options));
-  state.SetItemsProcessed(state.iterations() * g.NumEdges());
-}
-BENCHMARK(BM_TriangleCountParallel)->ArgName("threads")->Arg(1)->Arg(2)->Arg(4);
-
+// bit-identical to the same call on one lane — tests/parallel_test.cc
+// pins that; these rows record the speed side.
 void BM_PageRankParallel(benchmark::State& state) {
   const uint32_t threads = static_cast<uint32_t>(state.range(0));
   const Graph g = CollabGraph(1 << 16);
@@ -78,16 +68,6 @@ void BM_PageRankParallel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.NumEdges());
 }
 BENCHMARK(BM_PageRankParallel)->ArgName("threads")->Arg(1)->Arg(2)->Arg(4);
-
-void BM_TrussNumbersParallel(benchmark::State& state) {
-  const uint32_t threads = static_cast<uint32_t>(state.range(0));
-  const Graph g = CollabGraph(1 << 15);
-  const ParallelOptions options{threads, 0};
-  for (auto _ : state)
-    benchmark::DoNotOptimize(TrussNumbersParallel(g, options));
-  state.SetItemsProcessed(state.iterations() * g.NumEdges());
-}
-BENCHMARK(BM_TrussNumbersParallel)->ArgName("threads")->Arg(1)->Arg(2)->Arg(4);
 
 // Ablation: the dense-subgraph hierarchy ladder — core (1,2), truss (2,3),
 // nucleus (3,4) — each rung costs roughly an order of magnitude more.

@@ -24,7 +24,7 @@ int main() {
     // Average clustering on a sample-size-bounded graph is cheap enough for
     // everything but the largest; report it as the structural fingerprint.
     const double cc = ds.graph.NumEdges() < 5'000'000
-                          ? AverageClusteringCoefficient(ds.graph, {1, 0})
+                          ? AverageClusteringCoefficient(ds.graph)
                           : -1.0;
     std::printf("%-11s %12llu %12llu %6u %12u %12llu %8.3f\n", ds.spec.name,
                 static_cast<unsigned long long>(ds.spec.paper_nodes),

@@ -80,7 +80,6 @@ TRACKED_BENCHMARKS = [
     # /threads:4 row degrades to the one-lane code path.
     "BM_BuildVertexScalarTree",
     "BM_BuildEdgeScalarTree",
-    "BM_TriangleCountParallel/threads:4",
     "BM_PageRankParallel/threads:4",
     "BM_RasterizeParallel/threads:4",
     "BM_SpringLayoutParallel/threads:4",
@@ -112,8 +111,6 @@ TRACKED_TIME_BENCHMARKS = [
 # must not fail on it. min_speedup None = always informational (e.g. the
 # raster pays per-band footprint re-decode).
 SCALING_CHECKS = [
-    ("BM_TriangleCountParallel/threads:1",
-     "BM_TriangleCountParallel/threads:4", 4, None),
     ("BM_PageRankParallel/threads:1",
      "BM_PageRankParallel/threads:4", 4, None),
     ("BM_RasterizeParallel/threads:1",

@@ -62,7 +62,7 @@ RoleFeatureMatrix RecursiveFeatures(const Graph& g,
   if (n == 0) return m;
 
   const ParallelOptions parallel{options.num_threads, /*grain=*/512};
-  const std::vector<uint32_t> triangles = VertexTriangleCounts(g, {1, 0});
+  const std::vector<uint32_t> triangles = VertexTriangleCounts(g);
 
   // Base block. Egonet internal edges = deg + triangles (every edge
   // among N(v) closes a triangle through v); boundary = degree mass of

@@ -25,9 +25,9 @@
 // v's smaller neighbors sit at the front of its sorted run and arrive
 // in that same ascending order, so the cursor lands on exactly the twin
 // with no search. After that every adjacency slot answers "which edge am
-// I?" in O(1), which is what lets K-Truss build its {neighbour, edge}
-// runs, the naive dual-graph construction and the per-slot sweeps stay
-// free of hashing and binary searches.
+// I?" in O(1), which is what lets K-Truss and the nucleus build their
+// {neighbour, edge} runs and the naive dual-graph construction stay free
+// of hashing and binary searches.
 
 #ifndef GRAPHSCAPE_GRAPH_EDGE_INDEX_H_
 #define GRAPHSCAPE_GRAPH_EDGE_INDEX_H_
@@ -41,7 +41,7 @@ namespace graphscape {
 
 class EdgeIndex {
  public:
-  explicit EdgeIndex(const Graph& g) : graph_(&g) {
+  explicit EdgeIndex(const Graph& g) {
     const uint32_t n = g.NumVertices();
     const std::vector<uint32_t>& offsets = g.Offsets();
     const std::vector<VertexId>& adj = g.Adjacency();
@@ -61,27 +61,10 @@ class EdgeIndex {
     }
   }
 
-  uint32_t NumEdges() const {
-    return static_cast<uint32_t>(graph_->NumEdges());
-  }
-
-  /// Endpoints of edge e, U(e) < V(e). Served by the graph's own
-  /// EdgeList-order endpoint arrays — the ids minted here agree with
-  /// Graph::EdgeEndpoints by construction (same CSR traversal order).
-  VertexId U(uint32_t e) const { return graph_->EdgeSources()[e]; }
-  VertexId V(uint32_t e) const { return graph_->EdgeTargets()[e]; }
-  const std::vector<VertexId>& EndpointsU() const {
-    return graph_->EdgeSources();
-  }
-  const std::vector<VertexId>& EndpointsV() const {
-    return graph_->EdgeTargets();
-  }
-
   /// Edge id of the s-th CSR adjacency slot.
   uint32_t EdgeAtSlot(uint32_t slot) const { return slot_eid_[slot]; }
 
  private:
-  const Graph* graph_;
   std::vector<uint32_t> slot_eid_;  // 2m: CSR slot -> edge id
 };
 

@@ -5,10 +5,10 @@
 //
 // The whole adjacency structure is two flat uint32_t arrays: `offsets_`
 // (n + 1 entries) and `neighbors_` (2m entries, both directions of every
-// edge). Per-vertex adjacency lists are sorted ascending, which gives the
-// metrics kernels (triangles, truss, nucleus) O(log d) membership tests and
-// merge-style intersections with perfectly sequential access. There are no
-// per-vertex containers anywhere — a neighborhood scan touches exactly one
+// edge). Per-vertex adjacency lists are sorted ascending: HasEdge is an
+// O(log d) search, and the triangle, truss and nucleus mark passes walk
+// each run with perfectly sequential access. There are no per-vertex
+// containers anywhere — a neighborhood scan touches exactly one
 // contiguous cache-line run.
 //
 // Edges additionally carry dense ids in EdgeList order (ascending smaller

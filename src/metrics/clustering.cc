@@ -19,24 +19,19 @@ double Coefficient(uint64_t triangles, uint64_t degree) {
 
 }  // namespace
 
-std::vector<double> LocalClusteringCoefficients(
-    const Graph& g, const ParallelOptions& options) {
-  const std::vector<uint32_t> triangles = VertexTriangleCounts(g, options);
-  const uint32_t n = g.NumVertices();
-  std::vector<double> cc(n);
-  ParallelFor(0, n, options, [&](uint64_t v) {
-    cc[v] = Coefficient(triangles[v], g.Degree(static_cast<VertexId>(v)));
-  });
+std::vector<double> LocalClusteringCoefficients(const Graph& g) {
+  const std::vector<uint32_t> triangles = VertexTriangleCounts(g);
+  std::vector<double> cc(g.NumVertices());
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    cc[v] = Coefficient(triangles[v], g.Degree(v));
+  }
   return cc;
 }
 
-double AverageClusteringCoefficient(const Graph& g,
-                                    const ParallelOptions& options) {
+double AverageClusteringCoefficient(const Graph& g) {
   const uint32_t n = g.NumVertices();
   if (n == 0) return 0.0;
-  const std::vector<double> cc = LocalClusteringCoefficients(g, options);
-  // Sequential fold in v order, so the thread count cannot reorder the
-  // floating-point sum.
+  const std::vector<double> cc = LocalClusteringCoefficients(g);
   return std::accumulate(cc.begin(), cc.end(), 0.0) / n;
 }
 
@@ -47,7 +42,7 @@ double GlobalClusteringCoefficient(const Graph& g) {
     if (d >= 2) wedges += d * (d - 1) / 2;
   }
   if (wedges == 0) return 0.0;
-  return 3.0 * static_cast<double>(CountTriangles(g, {1, 0})) /
+  return 3.0 * static_cast<double>(CountTriangles(g)) /
          static_cast<double>(wedges);
 }
 

@@ -15,23 +15,17 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/parallel.h"
 #include "graph/graph.h"
 
 namespace graphscape {
 
-/// cc(v) for every vertex, exact. BIT-IDENTICAL for every thread count:
-/// triangle counts come from VertexTriangleCounts (exact integers) and
-/// each cc(v) is a pure function of (t(v), deg(v)).
-std::vector<double> LocalClusteringCoefficients(
-    const Graph& g, const ParallelOptions& options = {});
+/// cc(v) for every vertex, exact: each cc(v) is a pure function of the
+/// integers (t(v), deg(v)).
+std::vector<double> LocalClusteringCoefficients(const Graph& g);
 
-/// Exact average of cc(v) over all vertices (0 for an empty graph). Only
-/// the per-vertex map runs on the pool; the fold is a sequential
-/// left-to-right accumulate over v, so the average is bit-identical for
-/// every thread count.
-double AverageClusteringCoefficient(const Graph& g,
-                                    const ParallelOptions& options = {});
+/// Exact average of cc(v) over all vertices (0 for an empty graph),
+/// folded left to right over v.
+double AverageClusteringCoefficient(const Graph& g);
 
 /// Transitivity: 3·(#triangles) / (#wedges). Not the same statistic as
 /// the average local coefficient — hub-heavy graphs typically score much

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/parallel.h"
 #include "common/peel_by_level.h"
 #include "graph/edge_index.h"
 #include "graph/intersect.h"
@@ -25,14 +24,10 @@ std::vector<std::pair<VertexId, VertexId>> EdgeList(const Graph& g) {
   return edges;
 }
 
-namespace {
+namespace internal {
 
-using internal::KeepLive;
-using internal::kPeeled;
-using internal::Pair;
-
-// Every vertex's run of pairs, in CSR slot order. The EdgeIndex lives
-// only for this call, so it is freed before the peel allocates.
+// The EdgeIndex lives only for this call, so it is freed before the
+// support pass allocates.
 std::vector<Pair> BuildRuns(const Graph& g) {
   const EdgeIndex index(g);
   const std::vector<VertexId>& adj = g.Adjacency();
@@ -43,50 +38,13 @@ std::vector<Pair> BuildRuns(const Graph& g) {
   return runs;
 }
 
-// Support = triangles per edge. Vertex u owns the edges to neighbours
-// ranked below it by (degree, id), so each edge is counted once, from
-// its higher-ranked end, by scanning the lower-ranked end's run: the
-// shorter one. u marks N(u) once, then every owned edge {u, v} sums the
-// marks over N(v). Owners are disjoint, so blocks of owners write
-// disjoint support entries.
-std::vector<uint32_t> CountSupport(const Graph& g,
-                                   const std::vector<Pair>& runs,
-                                   const ParallelOptions& options) {
-  const uint32_t n = g.NumVertices();
-  const std::vector<uint32_t>& offsets = g.Offsets();
-  std::vector<uint32_t> support(g.NumEdges(), 0);
-  const uint64_t grain = internal::ResolveGrain(options.grain, 1024);
-  const uint64_t num_blocks = (n + grain - 1) / grain;
-  // Every lane's marks, allocated here rather than inside the region.
-  const uint32_t lanes = EffectiveLanes({options.num_threads, 1}, num_blocks);
-  std::vector<uint8_t> marks(static_cast<size_t>(lanes) * n, 0);
-  const auto ranks_below = [&g](VertexId a, VertexId b) {
-    const uint32_t da = g.Degree(a), db = g.Degree(b);
-    return da < db || (da == db && a < b);
-  };
-  ParallelForBlocks(num_blocks, options, [&](uint64_t block, uint32_t lane) {
-    uint8_t* mark = marks.data() + static_cast<size_t>(lane) * n;
-    const uint32_t lo = static_cast<uint32_t>(block * grain);
-    const uint32_t hi =
-        static_cast<uint32_t>(std::min<uint64_t>(lo + grain, n));
-    for (VertexId u = lo; u < hi; ++u) {
-      const Pair* begin = runs.data() + offsets[u];
-      const Pair* end = runs.data() + offsets[u + 1];
-      for (const Pair* p = begin; p != end; ++p) mark[p->w] = 1;
-      for (const Pair* p = begin; p != end; ++p) {
-        if (!ranks_below(p->w, u)) continue;
-        uint32_t triangles = 0;
-        const Pair* q_end = runs.data() + offsets[p->w + 1];
-        for (const Pair* q = runs.data() + offsets[p->w]; q != q_end; ++q) {
-          triangles += mark[q->w];
-        }
-        support[p->id] = triangles;
-      }
-      for (const Pair* p = begin; p != end; ++p) mark[p->w] = 0;
-    }
-  });
-  return support;
-}
+}  // namespace internal
+
+namespace {
+
+using internal::KeepLive;
+using internal::kPeeled;
+using internal::Pair;
 
 // The peel proper, after the support-counting pass. Order-serial: each
 // peel demotes surviving edges, which decides who peels next.
@@ -153,14 +111,15 @@ std::vector<uint32_t> PeelBySupport(const Graph& g, std::vector<Pair> runs,
 }  // namespace
 
 std::vector<uint32_t> TrussNumbers(const Graph& g) {
-  return TrussNumbersParallel(g, {1, 0});
+  std::vector<Pair> runs = internal::BuildRuns(g);
+  std::vector<uint8_t> mark(g.NumVertices(), 0);
+  std::vector<uint32_t> support = internal::CountSupport(g, runs, mark);
+  return PeelBySupport(g, std::move(runs), std::move(support));
 }
 
 std::vector<uint32_t> TrussNumbersParallel(const Graph& g,
-                                           const ParallelOptions& options) {
-  std::vector<Pair> runs = BuildRuns(g);
-  std::vector<uint32_t> support = CountSupport(g, runs, options);
-  return PeelBySupport(g, std::move(runs), std::move(support));
+                                           const ParallelOptions& /*options*/) {
+  return TrussNumbers(g);
 }
 
 }  // namespace graphscape

@@ -5,8 +5,9 @@
 // terrains (§III, Fig. 7).
 //
 // Both halves walk per-vertex runs of {w, e} pairs (neighbour, id of
-// the edge to it) with a mark array, not sorted-run intersection.
-// Support counting: each edge is owned by its endpoint ranked higher by
+// the edge to it) with a mark array, not sorted-run intersection, on
+// one lane. Support counting (metrics/peel_runs.h, shared with the
+// nucleus): each edge is owned by its endpoint ranked higher by
 // (degree, id); a vertex marks its neighbours once, and each owned edge
 // sums the marks over the other end's (shorter) run. The peel is the
 // same level-synchronous scheme as kcore.h applied to edges: at each
@@ -19,8 +20,7 @@
 // walked from a leaf's side, and the peeled edge left in it as a
 // tombstone, so a star costs O(m log m), not O(m^2). truss[e] = (support
 // when peeled) + 2, so an edge in a k-truss but no (k+1)-truss reports
-// k. Truss numbers do not depend on the peel order, so the output is
-// identical for every lane count.
+// k.
 
 #ifndef GRAPHSCAPE_METRICS_KTRUSS_H_
 #define GRAPHSCAPE_METRICS_KTRUSS_H_
@@ -41,10 +41,7 @@ std::vector<std::pair<VertexId, VertexId>> EdgeList(const Graph& g);
 /// truss[e] for every edge in EdgeList order; values are >= 2.
 std::vector<uint32_t> TrussNumbers(const Graph& g);
 
-/// TrussNumbers with the support-counting pass (blocks of owner
-/// vertices, one mark array per lane, disjoint writes) on the pool; the
-/// peel itself is order-serial and runs on the calling thread.
-/// EQUAL output to TrussNumbers for every thread count.
+/// Runs TrussNumbers; kept until graphscape_bench stops calling it.
 std::vector<uint32_t> TrussNumbersParallel(const Graph& g,
                                            const ParallelOptions& options = {});
 

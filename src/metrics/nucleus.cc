@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/peel_by_level.h"
-#include "graph/edge_index.h"
 #include "graph/intersect.h"
 #include "metrics/peel_runs.h"
 
@@ -26,13 +25,15 @@ using TriangleEdges = std::array<uint32_t, 3>;
 // Pivot u marks its neighbours above u with 1 + the edge id, and each of
 // them, v, walks its own neighbours above v for marks. When u has
 // Skewed-fewer left above v, those gallop through v's run instead, so a
-// hub is not walked once per smaller neighbour. `mark` is all zero on
-// entry and on return.
+// hub is not walked once per smaller neighbour. Edge ids are read off
+// the vertices' {neighbour, edge} runs, BuildRuns(g). `mark` is all
+// zero on entry and on return.
 template <typename Emit>
-void ForEachTriangle(const Graph& g, const EdgeIndex& index,
+void ForEachTriangle(const Graph& g, const std::vector<Pair>& vertex_runs,
                      std::vector<uint32_t>& mark, Emit&& emit) {
   const std::vector<uint32_t>& offsets = g.Offsets();
   const VertexId* adj = g.Adjacency().data();
+  const Pair* slot = vertex_runs.data();
   const auto first_above = [&](VertexId x) {
     return static_cast<uint32_t>(
         std::upper_bound(adj + offsets[x], adj + offsets[x + 1], x) - adj);
@@ -40,18 +41,16 @@ void ForEachTriangle(const Graph& g, const EdgeIndex& index,
   for (VertexId u = 0; u < g.NumVertices(); ++u) {
     const uint32_t u_lo = first_above(u), u_hi = offsets[u + 1];
     if (u_hi - u_lo < 2) continue;  // u is no triangle's lowest vertex
-    for (uint32_t s = u_lo; s < u_hi; ++s) {
-      mark[adj[s]] = index.EdgeAtSlot(s) + 1;
-    }
+    for (uint32_t s = u_lo; s < u_hi; ++s) mark[adj[s]] = slot[s].id + 1;
     for (uint32_t s = u_lo; s + 1 < u_hi; ++s) {  // the last closes none
       const VertexId v = adj[s];
-      const uint32_t uv = index.EdgeAtSlot(s);
+      const uint32_t uv = slot[s].id;
       const uint32_t v_lo = first_above(v), v_hi = offsets[v + 1];
       if (intersect::detail::Skewed(u_hi - s - 1, v_hi - v_lo)) {
         intersect::detail::ForEachMatch(
             adj + s + 1, adj + u_hi, adj + v_lo, adj + v_hi, true,
             [&](const VertexId* pu, const VertexId* pv) {
-              const uint32_t vw = index.EdgeAtSlot(pv - adj);
+              const uint32_t vw = slot[pv - adj].id;
               emit(u, v, *pu, TriangleEdges{uv, mark[*pu] - 1, vw});
             });
         continue;
@@ -59,7 +58,7 @@ void ForEachTriangle(const Graph& g, const EdgeIndex& index,
       for (uint32_t t = v_lo; t < v_hi; ++t) {
         const uint32_t uw = mark[adj[t]];
         if (uw != 0) {
-          emit(u, v, adj[t], TriangleEdges{uv, uw - 1, index.EdgeAtSlot(t)});
+          emit(u, v, adj[t], TriangleEdges{uv, uw - 1, slot[t].id});
         }
       }
     }
@@ -73,29 +72,32 @@ void ForEachTriangle(const Graph& g, const EdgeIndex& index,
 // vertex d in two of T's runs closes the 4-clique {T, d}.
 NucleusDecomposition Decompose(const Graph& g,
                                std::vector<TriangleEdges>* edges_of) {
-  const uint32_t m = static_cast<uint32_t>(g.NumEdges());
   std::vector<uint32_t> mark(g.NumVertices(), 0);
-  std::vector<uint32_t> start(m + 1, 0);
+  std::vector<uint32_t> start;
   std::vector<uint32_t> end;
   std::vector<Pair> runs;
   NucleusDecomposition result;
   std::vector<TriangleEdges>& edges = *edges_of;
   {
-    // Count, then fill exact-sized arrays. The index is freed before the
-    // support pass allocates.
-    const EdgeIndex index(g);
-    ForEachTriangle(g, index, mark, [&](VertexId, VertexId, VertexId,
-                                        const TriangleEdges& e) {
-      for (const uint32_t x : e) ++start[x + 1];
-    });
-    for (uint32_t e = 0; e < m; ++e) start[e + 1] += start[e];
-    result.triangles.resize(start[m] / 3);
-    edges.resize(start[m] / 3);
-    runs.resize(start[m]);
-    end.assign(start.begin(), start.end() - 1);
+    // K-Truss support is the number of triangles on each edge, so its
+    // prefix sums place the runs and one enumeration fills them. The
+    // vertex runs are freed before the 4-clique support pass allocates.
+    const std::vector<Pair> vertex_runs = internal::BuildRuns(g);
+    start = internal::CountSupport(g, vertex_runs, mark);
+    uint32_t total = 0;
+    for (uint32_t& s : start) {
+      const uint32_t triangles = s;
+      s = total;
+      total += triangles;
+    }
+    result.triangles.resize(total / 3);
+    edges.resize(total / 3);
+    runs.resize(total);
+    end = start;
     uint32_t t = 0;
-    ForEachTriangle(g, index, mark, [&](VertexId u, VertexId v, VertexId w,
-                                        const TriangleEdges& e) {
+    ForEachTriangle(g, vertex_runs, mark, [&](VertexId u, VertexId v,
+                                              VertexId w,
+                                              const TriangleEdges& e) {
       result.triangles[t] = {u, v, w};
       edges[t] = e;
       runs[end[e[0]]++] = {w, t};

@@ -9,7 +9,9 @@
 // triangles of every 4-clique it completed, provided that clique is still
 // intact. Where K-Truss keeps each vertex's run of edges, the nucleus
 // keeps each edge's run of triangles, so support and peel are mark
-// passes over runs, with no hashing and no vertex-count limit.
+// passes over runs, with no hashing and no vertex-count limit. The runs
+// are sized from K-Truss support (metrics/peel_runs.h), triangles per
+// edge, so the triangles are listed once.
 
 #ifndef GRAPHSCAPE_METRICS_NUCLEUS_H_
 #define GRAPHSCAPE_METRICS_NUCLEUS_H_

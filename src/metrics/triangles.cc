@@ -3,8 +3,6 @@
 
 #include "metrics/triangles.h"
 
-#include <numeric>
-
 namespace graphscape {
 namespace {
 
@@ -58,101 +56,50 @@ ForwardAdjacency BuildForward(const Graph& g) {
   return fwd;
 }
 
-// Pivot vertices in ParallelForBlocks blocks of `grain`, and the lanes
-// that run them: what per-lane and per-block arrays are sized by.
-struct PivotBlocks {
-  uint64_t grain;
-  uint64_t count;
-  uint32_t lanes;
-};
-
-PivotBlocks Blocks(uint32_t n, const ParallelOptions& options) {
-  const uint64_t grain = internal::ResolveGrain(options.grain, 1024);
-  const uint64_t count = (n + grain - 1) / grain;
-  return {grain, count, EffectiveLanes({options.num_threads, 1}, count)};
-}
-
-// Calls visit(u, mark, block, lane) for every pivot u, with `mark` the
-// running lane's n bytes, set at exactly fwd(u). Every lane's marks are
-// allocated here on the calling thread, before the region.
+// Calls visit(u, mark) for every pivot u with at least two forward
+// neighbours, with `mark` set at exactly fwd(u).
 template <typename Visit>
-void ForEachMarkedPivot(const ForwardAdjacency& fwd, const PivotBlocks& blocks,
-                        const ParallelOptions& options, Visit&& visit) {
+void ForEachMarkedPivot(const ForwardAdjacency& fwd, Visit&& visit) {
   const uint32_t n = static_cast<uint32_t>(fwd.offsets.size() - 1);
-  std::vector<uint8_t> marks(static_cast<size_t>(blocks.lanes) * n, 0);
-  ParallelForBlocks(blocks.count, options, [&](uint64_t block, uint32_t lane) {
-    uint8_t* mark = marks.data() + static_cast<size_t>(lane) * n;
-    const uint64_t lo = block * blocks.grain;
-    const uint64_t hi = lo + blocks.grain < n ? lo + blocks.grain : n;
-    for (uint64_t i = lo; i < hi; ++i) {
-      const VertexId u = static_cast<VertexId>(i);
-      if (fwd.End(u) - fwd.Begin(u) < 2) continue;  // closes no triangle
-      for (const VertexId* v = fwd.Begin(u); v != fwd.End(u); ++v) mark[*v] = 1;
-      visit(u, mark, block, lane);
-      for (const VertexId* v = fwd.Begin(u); v != fwd.End(u); ++v) mark[*v] = 0;
-    }
-  });
+  std::vector<uint8_t> mark(n, 0);
+  for (VertexId u = 0; u < n; ++u) {
+    if (fwd.End(u) - fwd.Begin(u) < 2) continue;  // closes no triangle
+    for (const VertexId* v = fwd.Begin(u); v != fwd.End(u); ++v) mark[*v] = 1;
+    visit(u, mark.data());
+    for (const VertexId* v = fwd.Begin(u); v != fwd.End(u); ++v) mark[*v] = 0;
+  }
 }
 
 }  // namespace
 
-uint64_t CountTriangles(const Graph& g, const ParallelOptions& options) {
+uint64_t CountTriangles(const Graph& g) {
   const ForwardAdjacency fwd = BuildForward(g);
-  const PivotBlocks blocks = Blocks(g.NumVertices(), options);
-  // Integer partials per block: exact, so neither the blocking nor which
-  // lane ran a block can show through.
-  std::vector<uint64_t> partials(blocks.count, 0);
-  ForEachMarkedPivot(
-      fwd, blocks, options,
-      [&](VertexId u, const uint8_t* mark, uint64_t block, uint32_t) {
-        uint64_t count = 0;
-        for (const VertexId* v = fwd.Begin(u); v != fwd.End(u); ++v) {
-          for (const VertexId* w = fwd.Begin(*v); w != fwd.End(*v); ++w) {
-            count += mark[*w];
-          }
-        }
-        partials[block] += count;
-      });
-  return std::accumulate(partials.begin(), partials.end(), uint64_t{0});
+  uint64_t count = 0;
+  ForEachMarkedPivot(fwd, [&](VertexId u, const uint8_t* mark) {
+    for (const VertexId* v = fwd.Begin(u); v != fwd.End(u); ++v) {
+      for (const VertexId* w = fwd.Begin(*v); w != fwd.End(*v); ++w) {
+        count += mark[*w];
+      }
+    }
+  });
+  return count;
 }
 
-std::vector<uint32_t> VertexTriangleCounts(const Graph& g,
-                                           const ParallelOptions& options) {
-  const uint32_t n = g.NumVertices();
+std::vector<uint32_t> VertexTriangleCounts(const Graph& g) {
   const ForwardAdjacency fwd = BuildForward(g);
-  const PivotBlocks blocks = Blocks(n, options);
-
-  // One n-sized count arena per lane; a pivot's tallies go to its lane's
-  // arena, so lanes never share mutable state. Which arena a triangle
-  // lands in varies run to run (blocks are claimed dynamically), but the
-  // per-vertex SUM over arenas is an integer and therefore
-  // partition-invariant.
-  std::vector<uint32_t> arenas(static_cast<size_t>(blocks.lanes) * n, 0);
-  ForEachMarkedPivot(
-      fwd, blocks, options,
-      [&](VertexId u, const uint8_t* mark, uint64_t, uint32_t lane) {
-        uint32_t* counts = arenas.data() + static_cast<size_t>(lane) * n;
-        for (const VertexId* v = fwd.Begin(u); v != fwd.End(u); ++v) {
-          uint32_t hits = 0;
-          for (const VertexId* w = fwd.Begin(*v); w != fwd.End(*v); ++w) {
-            if (mark[*w] != 0) {
-              ++counts[*w];
-              ++hits;
-            }
-          }
-          counts[*v] += hits;
-          counts[u] += hits;
+  std::vector<uint32_t> counts(g.NumVertices(), 0);
+  ForEachMarkedPivot(fwd, [&](VertexId u, const uint8_t* mark) {
+    for (const VertexId* v = fwd.Begin(u); v != fwd.End(u); ++v) {
+      uint32_t hits = 0;
+      for (const VertexId* w = fwd.Begin(*v); w != fwd.End(*v); ++w) {
+        if (mark[*w] != 0) {
+          ++counts[*w];
+          ++hits;
         }
-      });
-  if (blocks.lanes <= 1) return arenas;
-
-  std::vector<uint32_t> counts(n, 0);
-  ParallelFor(0, n, options, [&](uint64_t v) {
-    uint32_t total = 0;
-    for (uint32_t lane = 0; lane < blocks.lanes; ++lane) {
-      total += arenas[static_cast<size_t>(lane) * n + v];
+      }
+      counts[*v] += hits;
+      counts[u] += hits;
     }
-    counts[v] = total;
   });
   return counts;
 }

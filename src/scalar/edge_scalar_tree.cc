@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "common/string_util.h"
+#include "graph/edge_index.h"
 #include "graph/graph_builder.h"
 #include "metrics/ktruss.h"
 #include "metrics/nucleus.h"
@@ -14,15 +15,19 @@
 
 namespace graphscape {
 
-namespace {
+ScalarTree BuildEdgeScalarTree(const Graph& g,
+                               const EdgeScalarField& field) {
+  // The sweep only needs endpoints per edge id, never the CSR twin
+  // mapping — the graph already stores them in EdgeList order.
+  const uint32_t n = g.NumVertices();
+  const uint32_t m = static_cast<uint32_t>(g.NumEdges());
+  assert(field.Size() == m);
+  const VertexId* const eu = g.EdgeSources().data();
+  const VertexId* const ev = g.EdgeTargets().data();
 
-// The Algorithm 3 sweep over edge endpoints in EdgeList order.
-ScalarTree SweepEdges(uint32_t n, uint32_t m, const VertexId* eu,
-                      const VertexId* ev,
-                      const std::vector<double>& values) {
   // The single sort: edges by (value desc, id asc) — superlevel sweep.
   std::vector<uint32_t> order;
-  tree_core::SortSweepOrder(values, &order);
+  tree_core::SortSweepOrder(field.Values(), &order);
 
   // Union-find over the ORIGINAL graph's vertices — this is what makes
   // the dual graph unnecessary. head[r] is the latest-swept edge in the
@@ -64,20 +69,8 @@ ScalarTree SweepEdges(uint32_t n, uint32_t m, const VertexId* eu,
     head_data[big] = e;
   }
 
-  return ScalarTree(std::move(parents), std::vector<double>(values),
+  return ScalarTree(std::move(parents), std::vector<double>(field.Values()),
                     std::move(order), num_roots);
-}
-
-}  // namespace
-
-ScalarTree BuildEdgeScalarTree(const Graph& g,
-                               const EdgeScalarField& field) {
-  // The sweep only needs endpoints per edge id, never the CSR twin
-  // mapping — the graph already stores them in EdgeList order.
-  const uint32_t m = static_cast<uint32_t>(g.NumEdges());
-  assert(field.Size() == m);
-  return SweepEdges(g.NumVertices(), m, g.EdgeSources().data(),
-                    g.EdgeTargets().data(), field.Values());
 }
 
 ScalarTree BuildEdgeScalarTreeParallel(const Graph& g,
@@ -86,19 +79,11 @@ ScalarTree BuildEdgeScalarTreeParallel(const Graph& g,
   return BuildEdgeScalarTree(g, field);
 }
 
-ScalarTree BuildEdgeScalarTree(const Graph& g, const EdgeIndex& index,
-                               const EdgeScalarField& field) {
-  assert(field.Size() == index.NumEdges());
-  return SweepEdges(g.NumVertices(), index.NumEdges(),
-                    index.EndpointsU().data(), index.EndpointsV().data(),
-                    field.Values());
-}
-
 StatusOr<ScalarTree> BuildEdgeScalarTreeNaive(const Graph& g,
                                               const EdgeScalarField& field,
                                               uint64_t max_line_edges) {
   const EdgeIndex index(g);
-  const uint32_t m = index.NumEdges();
+  const uint32_t m = static_cast<uint32_t>(g.NumEdges());
   assert(field.Size() == m);
 
   // Guard the Θ(Σ deg²) blowup before committing memory: every pair of
@@ -130,11 +115,6 @@ StatusOr<ScalarTree> BuildEdgeScalarTreeNaive(const Graph& g,
   const Graph line_graph = builder.Build();
   return BuildVertexScalarTree(
       line_graph, VertexScalarField(field.Name(), field.Values()));
-}
-
-EdgeSuperTree BuildEdgeSuperTree(const Graph& g,
-                                 const EdgeScalarField& field) {
-  return SuperTree(BuildEdgeScalarTree(g, field));
 }
 
 EdgeScalarField TrussnessEdgeField(const Graph& g) {

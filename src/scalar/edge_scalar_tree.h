@@ -29,18 +29,15 @@
 #include <vector>
 
 #include "common/status.h"
-#include "graph/edge_index.h"
 #include "graph/graph.h"
 #include "scalar/scalar_field.h"
 #include "scalar/scalar_tree.h"
-#include "scalar/super_tree.h"
 
 namespace graphscape {
 
 /// One scalar per undirected edge, indexed in EdgeList order (ascending
 /// smaller endpoint, then larger) — the order TrussNumbers and
-/// EdgeIndex use. The undirected-twin mapping from CSR slots to these
-/// ids is resolved once by constructing an EdgeIndex.
+/// EdgeIndex use.
 class EdgeScalarField : public internal::CheckedScalarField {
  public:
   EdgeScalarField(std::string name, std::vector<double> values)
@@ -62,11 +59,6 @@ class EdgeScalarField : public internal::CheckedScalarField {
 /// edge-tree presence).
 ScalarTree BuildEdgeScalarTree(const Graph& g, const EdgeScalarField& field);
 
-/// Same, amortizing the twin-mapping resolution across builds. The sweep
-/// loop itself performs zero heap allocations.
-ScalarTree BuildEdgeScalarTree(const Graph& g, const EdgeIndex& index,
-                               const EdgeScalarField& field);
-
 /// Runs BuildEdgeScalarTree; kept until graphscape_bench stops calling it.
 ScalarTree BuildEdgeScalarTreeParallel(const Graph& g,
                                        const EdgeScalarField& field,
@@ -81,13 +73,6 @@ ScalarTree BuildEdgeScalarTreeParallel(const Graph& g,
 StatusOr<ScalarTree> BuildEdgeScalarTreeNaive(
     const Graph& g, const EdgeScalarField& field,
     uint64_t max_line_edges = 1ull << 28);
-
-/// Algorithm 2 over an edge tree. A SuperTree whose nodes contract
-/// same-value edge chains; MemberCount() counts edges, NodeOf() maps
-/// edge ids.
-using EdgeSuperTree = SuperTree;
-EdgeSuperTree BuildEdgeSuperTree(const Graph& g,
-                                 const EdgeScalarField& field);
 
 // ---- Field producers: the paper's real edge fields (§III, Fig. 7). ----
 

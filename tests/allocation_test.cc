@@ -195,8 +195,8 @@ uint64_t AllocationsDuringTriangleCount(uint32_t n) {
   Rng rng(42);
   const Graph g = BarabasiAlbert(n, 4, &rng);
   const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-  const uint64_t total = CountTriangles(g, {1, 0});
-  const std::vector<uint32_t> per_vertex = VertexTriangleCounts(g, {1, 0});
+  const uint64_t total = CountTriangles(g);
+  const std::vector<uint32_t> per_vertex = VertexTriangleCounts(g);
   const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
   EXPECT_GT(total, 0u);
   EXPECT_EQ(per_vertex.size(), g.NumVertices());
@@ -204,10 +204,10 @@ uint64_t AllocationsDuringTriangleCount(uint32_t n) {
 }
 
 TEST(AllocationDisciplineTest, TriangleCountAllocationsConstantInGraphSize) {
-  // On one lane, CountTriangles/VertexTriangleCounts allocate a fixed
-  // set of arrays up front (the degrees, the forward adjacency's offsets
-  // + targets, the marks, and the block partials or the one count arena)
-  // and nothing per vertex or per pivot inside the sweep.
+  // CountTriangles/VertexTriangleCounts allocate a fixed set of arrays
+  // up front (each slot's direction byte, the forward adjacency's
+  // offsets + targets, the marks, and VertexTriangleCounts' counts) and
+  // nothing per vertex or per pivot inside the sweep.
   const uint64_t small = AllocationsDuringTriangleCount(1 << 8);
   const uint64_t large = AllocationsDuringTriangleCount(1 << 14);
   EXPECT_EQ(small, large)
@@ -229,8 +229,8 @@ uint64_t AllocationsDuringTrussNumbers(uint32_t n) {
 TEST(AllocationDisciplineTest, TrussNumbersAllocationsConstantInGraphSize) {
   // TrussNumbers allocates a fixed set of arrays up front (the EdgeIndex
   // slot ids and its fill cursor, freed once the {neighbour, edge} runs
-  // are built from them; the runs; support, which becomes the output;
-  // the support pass's marks; the peel's run ends and marks, and
+  // are built from them; the runs; the support pass's marks; support,
+  // which becomes the output; the peel's run ends and marks, and
   // PeelByLevel's live list and frontier) and nothing per edge or per
   // triangle: the peel compacts the runs in place.
   const uint64_t small = AllocationsDuringTrussNumbers(1 << 8);
@@ -253,12 +253,16 @@ uint64_t AllocationsDuringNucleus34(uint32_t n) {
 }
 
 TEST(AllocationDisciplineTest, NucleusAllocationsConstantInGraphSize) {
-  // Nucleus34 counts triangles per edge before it fills anything, so it
-  // allocates a fixed set of exact-sized arrays (the EdgeIndex slot ids
-  // and its fill cursor, the marks, the edge runs' starts and ends, the
-  // runs, the triangles, their edges, support, which becomes the output,
-  // and PeelByLevel's live list and frontier) and nothing per triangle
-  // or per 4-clique: the peel compacts the runs in place.
+  // Nucleus34 sizes its edge runs from K-Truss support before it fills
+  // anything, so it allocates a fixed set of exact-sized arrays (the
+  // EdgeIndex slot ids and its fill cursor, freed once the vertices'
+  // {neighbour, edge} runs are built; those runs; the marks, which the
+  // support count, the triangle listing and the peel share; K-Truss
+  // support, which becomes the edge runs' starts; the edge runs' ends;
+  // the runs; the triangles; their edges; 4-clique support, which
+  // becomes the output; and PeelByLevel's live list and frontier) and
+  // nothing per triangle or per 4-clique: the peel compacts the runs in
+  // place.
   const uint64_t small = AllocationsDuringNucleus34(1 << 8);
   const uint64_t large = AllocationsDuringNucleus34(1 << 14);
   EXPECT_EQ(small, large)

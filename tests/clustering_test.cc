@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "gen/generators.h"
 #include "graph/graph_builder.h"
+#include "metrics/triangles.h"
 
 namespace graphscape {
 namespace {
@@ -36,19 +37,21 @@ Graph Star(uint32_t leaves) {
 
 // O(n * deg^2) oracle: for every vertex, count adjacent neighbor pairs
 // directly with HasEdge. Same integer triangle count, same formula, so
-// the kernels must agree bit-for-bit.
-std::vector<double> BruteForceLocalClustering(const Graph& g) {
+// the kernels must agree bit-for-bit. `closed[v]` is that count: the
+// triangles through v.
+std::vector<double> BruteForceLocalClustering(const Graph& g,
+                                              std::vector<uint64_t>* closed) {
   const uint32_t n = g.NumVertices();
   std::vector<double> cc(n, 0.0);
+  closed->assign(n, 0);
   for (VertexId v = 0; v < n; ++v) {
     const Graph::NeighborRange r = g.Neighbors(v);
     const uint32_t d = r.size();
     if (d < 2) continue;
-    uint64_t closed = 0;
     for (uint32_t i = 0; i < d; ++i)
       for (uint32_t j = i + 1; j < d; ++j)
-        if (g.HasEdge(r[i], r[j])) ++closed;
-    cc[v] = 2.0 * static_cast<double>(closed) /
+        if (g.HasEdge(r[i], r[j])) ++(*closed)[v];
+    cc[v] = 2.0 * static_cast<double>((*closed)[v]) /
             (static_cast<double>(d) * static_cast<double>(d - 1));
   }
   return cc;
@@ -95,19 +98,37 @@ TEST(ClusteringTest, EmptyGraphIsZero) {
 }
 
 TEST(ClusteringTest, MatchesBruteForceOracleOnRandomGraphs) {
+  std::vector<Graph> graphs;
   for (const uint64_t seed : {11u, 12u, 13u}) {
     Rng rng(seed);
-    const Graph er = ErdosRenyi(60, 0.15, &rng);
-    const Graph ba = BarabasiAlbert(60, 4, &rng);
-    for (const Graph* g : {&er, &ba}) {
-      const std::vector<double> expected = BruteForceLocalClustering(*g);
-      const std::vector<double> actual = LocalClusteringCoefficients(*g);
-      ASSERT_EQ(actual.size(), expected.size());
-      for (size_t v = 0; v < expected.size(); ++v) {
-        EXPECT_DOUBLE_EQ(actual[v], expected[v]) << "vertex " << v;
-      }
-    }
+    graphs.push_back(ErdosRenyi(60, 0.15, &rng));
+    graphs.push_back(BarabasiAlbert(60, 4, &rng));
   }
+  // A triangle-rich graph with two planted cores.
+  CollaborationOptions collab;
+  collab.num_vertices = 3000;
+  collab.num_planted_cores = 2;
+  collab.planted_core_size = 12;
+  Rng collab_rng(11);
+  graphs.push_back(CollaborationNetwork(collab, &collab_rng));
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    const Graph& g = graphs[i];
+    std::vector<uint64_t> closed;
+    const std::vector<double> expected = BruteForceLocalClustering(g, &closed);
+    const std::vector<double> actual = LocalClusteringCoefficients(g);
+    const std::vector<uint32_t> triangles = VertexTriangleCounts(g);
+    ASSERT_EQ(actual.size(), expected.size());
+    ASSERT_EQ(triangles.size(), closed.size());
+    for (size_t v = 0; v < expected.size(); ++v) {
+      EXPECT_DOUBLE_EQ(actual[v], expected[v])
+          << "graph " << i << " vertex " << v;
+      EXPECT_EQ(triangles[v], closed[v]) << "graph " << i << " vertex " << v;
+    }
+    const uint64_t sum =
+        std::accumulate(closed.begin(), closed.end(), uint64_t{0});
+    EXPECT_EQ(CountTriangles(g), sum / 3) << "graph " << i;
+  }
+  EXPECT_GT(CountTriangles(graphs.back()), 0u);
 }
 
 TEST(ClusteringTest, GlobalBelowAverageOnStarPlusTriangle) {

@@ -17,11 +17,13 @@
 
 #include "common/rng.h"
 #include "gen/generators.h"
+#include "graph/edge_index.h"
 #include "graph/graph_algos.h"
 #include "graph/graph_builder.h"
 #include "metrics/ktruss.h"
 #include "metrics/nucleus.h"
 #include "scalar/simplify.h"
+#include "scalar/super_tree.h"
 
 namespace graphscape {
 namespace {
@@ -90,7 +92,7 @@ std::vector<uint32_t> BruteForceMergeParents(
 // means adjacent.
 std::vector<std::vector<uint32_t>> LineGraphAdjacency(const Graph& g) {
   const EdgeIndex index(g);
-  std::vector<std::vector<uint32_t>> adjacency(index.NumEdges());
+  std::vector<std::vector<uint32_t>> adjacency(g.NumEdges());
   const std::vector<uint32_t>& offsets = g.Offsets();
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
     for (uint32_t s = offsets[v]; s < offsets[v + 1]; ++s) {
@@ -126,11 +128,10 @@ uint32_t SlotOf(const Graph& g, VertexId a, VertexId b) {
 void ExpectTwinMappingMatchesEdgeList(const Graph& g) {
   const EdgeIndex index(g);
   const auto edges = EdgeList(g);
-  ASSERT_EQ(index.NumEdges(), edges.size());
+  ASSERT_EQ(g.NumEdges(), edges.size());
   for (uint32_t e = 0; e < edges.size(); ++e) {
     const auto [u, v] = edges[e];
-    EXPECT_EQ(index.U(e), u);
-    EXPECT_EQ(index.V(e), v);
+    EXPECT_EQ(g.EdgeEndpoints(e), edges[e]);
     EXPECT_EQ(index.EdgeAtSlot(SlotOf(g, u, v)), e) << "slot in u's run";
     EXPECT_EQ(index.EdgeAtSlot(SlotOf(g, v, u)), e) << "slot in v's run";
   }
@@ -141,8 +142,8 @@ void ExpectTwinMappingMatchesEdgeList(const Graph& g) {
     for (uint32_t s = offsets[u]; s < offsets[u + 1]; ++s) {
       const uint32_t e = index.EdgeAtSlot(s);
       ASSERT_LT(e, edges.size());
-      EXPECT_EQ(std::min(u, adj[s]), index.U(e));
-      EXPECT_EQ(std::max(u, adj[s]), index.V(e));
+      EXPECT_EQ(std::min(u, adj[s]), edges[e].first);
+      EXPECT_EQ(std::max(u, adj[s]), edges[e].second);
     }
   }
 }
@@ -271,22 +272,6 @@ TEST(EdgeScalarTreeTest, MatchesBruteForceOracleOnThreeGraphFamilies) {
   }
 }
 
-TEST(EdgeScalarTreeTest, PrebuiltIndexOverloadMatchesConvenienceOverload) {
-  // The convenience overload gathers endpoints with a light CSR pass;
-  // the amortized overload reads them off a prebuilt EdgeIndex. Same
-  // sweep, identical trees.
-  Rng rng(9);
-  const Graph g = ErdosRenyi(300, 0.03, &rng);
-  const EdgeScalarField field = RandomEdgeField(g, 41, 12);
-  const ScalarTree direct = BuildEdgeScalarTree(g, field);
-  const EdgeIndex index(g);
-  const ScalarTree amortized = BuildEdgeScalarTree(g, index, field);
-  ASSERT_EQ(direct.NumNodes(), amortized.NumNodes());
-  EXPECT_EQ(direct.NumRoots(), amortized.NumRoots());
-  for (uint32_t e = 0; e < direct.NumNodes(); ++e)
-    EXPECT_EQ(direct.Parent(e), amortized.Parent(e));
-}
-
 TEST(EdgeScalarTreeTest, NaiveDualGraphBaselineProducesIdenticalTrees) {
   Rng rng(5);
   const Graph g = BarabasiAlbert(800, 4, &rng);
@@ -324,13 +309,12 @@ TEST(EdgeScalarTreeTest,
     // Sparse ER fragments into many components; add isolated vertices.
     const Graph g = ErdosRenyi(200, 0.008, &rng);
     const ComponentLabeling comps = ConnectedComponents(g);
-    const EdgeIndex index(g);
 
-    std::vector<double> values(index.NumEdges());
+    std::vector<double> values(g.NumEdges());
     std::vector<char> component_has_edge(comps.num_components, 0);
     std::vector<uint32_t> max_edge_of(comps.num_components, 0);
-    for (uint32_t e = 0; e < index.NumEdges(); ++e) {
-      const uint32_t c = comps.ComponentOf(index.U(e));
+    for (uint32_t e = 0; e < g.NumEdges(); ++e) {
+      const uint32_t c = comps.ComponentOf(g.EdgeEndpoints(e).first);
       values[e] = static_cast<double>(c);
       component_has_edge[c] = 1;
       max_edge_of[c] = std::max(max_edge_of[c], e);
@@ -345,11 +329,11 @@ TEST(EdgeScalarTreeTest,
     // Each edge's leaf-to-root walk stays inside its component and ends
     // at the component's maximum edge id.
     for (uint32_t e = 0; e < tree.NumNodes(); ++e) {
-      const uint32_t c = comps.ComponentOf(index.U(e));
+      const uint32_t c = comps.ComponentOf(g.EdgeEndpoints(e).first);
       uint32_t node = e;
       while (tree.Parent(node) != kInvalidVertex) {
         node = tree.Parent(node);
-        EXPECT_EQ(comps.ComponentOf(index.U(node)), c);
+        EXPECT_EQ(comps.ComponentOf(g.EdgeEndpoints(node).first), c);
       }
       EXPECT_EQ(node, max_edge_of[c]);
     }
@@ -365,7 +349,7 @@ TEST(EdgeSuperTreeTest, BuildEdgeSuperTreeContractsLevels) {
   Rng rng(7);
   const Graph g = BarabasiAlbert(500, 3, &rng);
   const EdgeScalarField field = RandomEdgeField(g, 31, 4);  // few levels
-  const EdgeSuperTree super = BuildEdgeSuperTree(g, field);
+  const SuperTree super(BuildEdgeScalarTree(g, field));
   EXPECT_GT(super.NumNodes(), 0u);
   EXPECT_LT(super.NumNodes(), g.NumEdges());  // contraction really fires
   uint32_t members = 0;

@@ -18,7 +18,6 @@
 #include <set>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "gen/generators.h"
 #include "graph/graph_builder.h"
@@ -237,14 +236,8 @@ TEST(IntersectMetricsTest, TriangleCountsMatchBruteForceOracle) {
     if (i == k8_hub) {
       EXPECT_EQ(56u, oracle);  // C(8, 3); the leaves close none
     }
-    for (const ParallelOptions options :
-         {ParallelOptions{1, 0}, ParallelOptions{2, 7},
-          ParallelOptions{4, 7}}) {
-      EXPECT_EQ(oracle, CountTriangles(g, options))
-          << "graph " << i << " threads " << options.num_threads;
-      EXPECT_EQ(oracle_per_vertex, VertexTriangleCounts(g, options))
-          << "graph " << i << " threads " << options.num_threads;
-    }
+    EXPECT_EQ(oracle, CountTriangles(g)) << "graph " << i;
+    EXPECT_EQ(oracle_per_vertex, VertexTriangleCounts(g)) << "graph " << i;
   }
 }
 

@@ -7,8 +7,9 @@
 //  * pool primitives — every index visited exactly once, lane ids dense;
 //  * the two *Parallel tree-build forwards — byte-identical
 //    TreeArtifact serialization vs the builds they forward to;
-//  * parallel metrics / layout / raster — exactly equal to the same
-//    call on one lane for every width (PageRank: to a push-form oracle).
+//  * parallel PageRank / community / query / layout / raster — exactly
+//    equal to the same call on one lane for every width (PageRank: to a
+//    push-form oracle).
 //
 // Everything here runs under the CI TSan leg with GRAPHSCAPE_THREADS=4,
 // which is what actually exercises the pool's publication/completion
@@ -32,10 +33,7 @@
 #include "layout/spring_layout.h"
 #include "query/nn_graph.h"
 #include "query/table.h"
-#include "metrics/clustering.h"
-#include "metrics/ktruss.h"
 #include "metrics/pagerank.h"
-#include "metrics/triangles.h"
 #include "scalar/edge_scalar_tree.h"
 #include "scalar/scalar_tree.h"
 #include "scalar/super_tree.h"
@@ -245,36 +243,6 @@ TEST(ParallelVertexTreeTest, DegenerateSizes) {
 
 // ------------------------------------------------------ parallel metrics --
 
-TEST(ParallelMetricsTest, TriangleCountsMatchExactly) {
-  const Graph g = Collab(3000);
-  const uint64_t seq_total = CountTriangles(g, {1, 0});
-  const std::vector<uint32_t> seq_counts = VertexTriangleCounts(g, {1, 0});
-  ASSERT_GT(seq_total, 0u);
-  for (const uint32_t width : kWidths) {
-    EXPECT_EQ(CountTriangles(g, {width, 0}), seq_total) << "width " << width;
-    EXPECT_EQ(VertexTriangleCounts(g, {width, 0}), seq_counts)
-        << "width " << width;
-    // Tiny grain: many more blocks than lanes, ragged boundaries.
-    EXPECT_EQ(CountTriangles(g, {width, 7}), seq_total) << "width " << width;
-    EXPECT_EQ(VertexTriangleCounts(g, {width, 7}), seq_counts)
-        << "width " << width;
-  }
-}
-
-TEST(ParallelMetricsTest, ClusteringBitIdentical) {
-  const Graph g = Collab(2000);
-  const std::vector<double> seq_cc = LocalClusteringCoefficients(g, {1, 0});
-  const double seq_avg = AverageClusteringCoefficient(g, {1, 0});
-  for (const uint32_t width : kWidths) {
-    for (const uint64_t grain : {uint64_t{0}, uint64_t{7}}) {
-      EXPECT_EQ(LocalClusteringCoefficients(g, {width, grain}), seq_cc)
-          << "width " << width << " grain " << grain;
-      EXPECT_EQ(AverageClusteringCoefficient(g, {width, grain}), seq_avg)
-          << "width " << width << " grain " << grain;
-    }
-  }
-}
-
 // Independent oracle: the push form of power iteration. Each v scatters
 // `damping * rank[v] / deg(v)` to its neighbours in ascending v order, so
 // next[u] receives the same terms in the same order as the library's
@@ -324,14 +292,6 @@ TEST(ParallelMetricsTest, PageRankBitIdentical) {
     for (size_t v = 0; v < oracle.size(); ++v) {
       ASSERT_EQ(par[v], oracle[v]) << "v " << v << " width " << width;
     }
-  }
-}
-
-TEST(ParallelMetricsTest, TrussNumbersMatchExactly) {
-  const Graph g = Collab(1500);
-  const std::vector<uint32_t> seq = TrussNumbers(g);
-  for (const uint32_t width : kWidths) {
-    EXPECT_EQ(TrussNumbersParallel(g, {width, 0}), seq) << "width " << width;
   }
 }
 

@@ -21,7 +21,6 @@
 
 #include "common/rng.h"
 #include "gen/generators.h"
-#include "graph/edge_index.h"
 #include "graph/graph_builder.h"
 #include "metrics/kcore.h"
 #include "scalar/edge_scalar_tree.h"
@@ -82,12 +81,11 @@ std::vector<std::vector<uint32_t>> VertexSuperlevelComponents(
 // edges are adjacent iff they share an endpoint.
 std::vector<std::vector<uint32_t>> EdgeSuperlevelComponents(
     const Graph& g, const std::vector<double>& values, double level) {
-  const EdgeIndex index(g);
-  const uint32_t m = index.NumEdges();
+  const uint32_t m = static_cast<uint32_t>(g.NumEdges());
   std::vector<std::vector<uint32_t>> incident(g.NumVertices());
   for (uint32_t e = 0; e < m; ++e) {
-    incident[index.U(e)].push_back(e);
-    incident[index.V(e)].push_back(e);
+    incident[g.EdgeEndpoints(e).first].push_back(e);
+    incident[g.EdgeEndpoints(e).second].push_back(e);
   }
   std::vector<char> seen(m, 0);
   std::vector<std::vector<uint32_t>> components;
@@ -99,7 +97,8 @@ std::vector<std::vector<uint32_t>> EdgeSuperlevelComponents(
       const uint32_t e = frontier.back();
       frontier.pop_back();
       component.push_back(e);
-      for (const VertexId endpoint : {index.U(e), index.V(e)}) {
+      const auto [u, v] = g.EdgeEndpoints(e);
+      for (const VertexId endpoint : {u, v}) {
         for (const uint32_t other : incident[endpoint]) {
           if (values[other] >= level && !seen[other]) {
             seen[other] = 1;
