@@ -1,9 +1,9 @@
 // Copyright 2026 The GraphScape Authors.
 // Licensed under the Apache License, Version 2.0.
 //
-// Microbenchmarks of the terrain pipeline: layout construction under both
-// split policies (the DESIGN.md ablation), rasterization by resolution, and
-// the oblique software render.
+// Microbenchmarks of the terrain pipeline: the mass-balanced layout,
+// rasterization by resolution, the oblique software render and the
+// spring layout.
 
 #include <benchmark/benchmark.h>
 
@@ -30,22 +30,9 @@ SuperTree BenchTree(uint32_t n) {
       g, VertexScalarField::FromCounts("KC", CoreNumbers(g))));
 }
 
-void BM_Layout_SliceDice(benchmark::State& state) {
-  const SuperTree tree = BenchTree(static_cast<uint32_t>(state.range(0)));
-  TerrainLayoutOptions options;
-  options.split = SplitPolicy::kSliceDice;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(BuildTerrainLayout(tree, options));
-  state.counters["super_nodes"] = tree.NumNodes();
-}
-BENCHMARK(BM_Layout_SliceDice)->Range(1 << 12, 1 << 16);
-
 void BM_Layout_Balanced(benchmark::State& state) {
   const SuperTree tree = BenchTree(static_cast<uint32_t>(state.range(0)));
-  TerrainLayoutOptions options;
-  options.split = SplitPolicy::kBalanced;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(BuildTerrainLayout(tree, options));
+  for (auto _ : state) benchmark::DoNotOptimize(BuildTerrainLayout(tree));
   state.counters["super_nodes"] = tree.NumNodes();
 }
 BENCHMARK(BM_Layout_Balanced)->Range(1 << 12, 1 << 16);
@@ -124,19 +111,6 @@ void BM_SpringLayoutParallel(benchmark::State& state) {
                           spring.iterations);
 }
 BENCHMARK(BM_SpringLayoutParallel)->ArgName("threads")->Arg(1)->Arg(2)->Arg(4);
-
-void BM_RenderTopDown(benchmark::State& state) {
-  const SuperTree tree = BenchTree(1 << 14);
-  const TerrainLayout layout = BuildTerrainLayout(tree);
-  RasterOptions raster;
-  raster.width = static_cast<uint32_t>(state.range(0));
-  raster.height = raster.width;
-  const HeightField field = RasterizeTerrain(layout, raster);
-  const auto colors = HeightColors(tree);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(RenderTopDown(field, colors));
-}
-BENCHMARK(BM_RenderTopDown)->RangeMultiplier(2)->Range(128, 1024);
 
 }  // namespace
 }  // namespace graphscape

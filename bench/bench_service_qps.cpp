@@ -27,7 +27,6 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/string_util.h"
 #include "common/timer.h"
 #include "gen/generators.h"
 #include "metrics/kcore.h"
@@ -99,25 +98,33 @@ std::string MakeLine(const ClassStat& klass, Rng* rng) {
   static const char* kDatasets[] = {"ba-bench", "er-bench"};
   static const char* kFields[] = {"KC", "DEG"};
   static const double kAzimuths[] = {225.0, 45.0, 135.0, 315.0};
-  const char* dataset = kDatasets[rng->UniformInt(2)];
-  const char* field = kFields[rng->UniformInt(2)];
+  service::Request request;  // an unknown class stays STATS
+  request.dataset = kDatasets[rng->UniformInt(2)];
+  request.field = kFields[rng->UniformInt(2)];
   const std::string name = klass.name;
-  if (name == "tree") return StrPrintf("TREE %s %s", dataset, field);
-  if (name == "peaks") {
-    return StrPrintf("PEAKS %s %s %.17g", dataset, field,
-                     rng->UniformDouble() * 8.0);
+  if (name == "tree") {
+    request.verb = service::Verb::kTree;
+  } else if (name == "peaks") {
+    request.verb = service::Verb::kPeaks;
+    request.level = rng->UniformDouble() * 8.0;
+  } else if (name == "toppeaks") {
+    request.verb = service::Verb::kTopPeaks;
+    request.k = 1 + rng->UniformInt(16);
+  } else if (name == "members") {
+    request.verb = service::Verb::kMembers;
+    request.node = 0;
+  } else if (name == "correlation") {
+    request.verb = service::Verb::kCorrelation;
+    request.field = "KC";
+    request.field_b = "DEG";
+  } else if (name == "tile") {
+    request.verb = service::Verb::kTile;
+    request.azimuth_deg = kAzimuths[rng->UniformInt(4)];
+    request.elevation_deg = 42.0;
+    request.width = 128;
+    request.height = 96;
   }
-  if (name == "toppeaks") {
-    return StrPrintf("TOPPEAKS %s %s %u", dataset, field,
-                     1 + rng->UniformInt(16));
-  }
-  if (name == "members") return StrPrintf("MEMBERS %s %s 0", dataset, field);
-  if (name == "correlation") return StrPrintf("CORRELATION %s KC DEG", dataset);
-  if (name == "tile") {
-    return StrPrintf("TILE %s %s %.17g 42 128 96", dataset, field,
-                     kAzimuths[rng->UniformInt(4)]);
-  }
-  return "STATS";
+  return service::FormatRequestLine(request);
 }
 
 double Percentile(const std::vector<double>& sorted, double p) {

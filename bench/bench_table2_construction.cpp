@@ -8,8 +8,8 @@
 //   te — the naive dual-graph edge-tree baseline (edge scalars only;
 //        attempted through the guarded builder, so hub-heavy rows print
 //        "guard" instead of burning hours),
-//   tv — terrain generation time; blocked on terrain/ (ROADMAP item 10),
-//        printed as "-" until that subsystem lands.
+//   tv — terrain generation time; printed as "-" until ROADMAP item 14
+//        times it (super tree + layout + raster + render).
 // Shape to hold: tc seconds-scale even on the largest graphs; te >> tc and
 // exploding with hub degrees (the paper's 16334 s Wikipedia cell).
 
@@ -77,7 +77,7 @@ int main() {
   using namespace graphscape;
   bench::Banner("Table II — terrain visualization time cost (sec)",
                 "paper Table II (Nt, tc, te per dataset x scalar; tv "
-                "blocked on terrain/)");
+                "pending, ROADMAP item 14)");
   std::printf("%-11s %-6s %9s %9s %9s %9s\n", "Dataset", "Scalar", "Nt", "tc",
               "te", "tv");
 

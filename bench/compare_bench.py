@@ -25,8 +25,8 @@ Tracked rows:
     is reported and skipped (re-baseline to start tracking it).
 
   * Microbenchmark latency (real_time, lower is better) for hot paths
-    that report no item counter — the terrain layout construction under
-    both split policies. Same regression bound, inverted.
+    that report no item counter — the terrain layout construction and
+    the service latency percentiles. Same regression bound, inverted.
 
   * Scaling efficiency for the parallel construction engine
     (docs/PARALLELISM.md): within the CURRENT run, a /threads:1 row's
@@ -96,7 +96,6 @@ TRACKED_BENCHMARKS = [
 
 # real_time rows (ns, lower is better): benches without an item counter.
 TRACKED_TIME_BENCHMARKS = [
-    "BM_Layout_SliceDice/65536",
     "BM_Layout_Balanced/65536",
     # Service request latency percentiles (ns) under the mixed workload.
     "SVC_MixedP50",

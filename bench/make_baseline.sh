@@ -10,7 +10,11 @@
 #
 # Prefer re-baselining from CI itself (download a green run's
 # BENCH_merged.json artifact) so the baseline matches runner hardware;
-# this script is for bootstrapping and local experiments.
+# this script is for bootstrapping and local experiments. The merged
+# JSON records what it was measured on in fields of its own:
+# cmake_build_type (the build dir's CMAKE_BUILD_TYPE; the context's
+# library_build_type is Google Benchmark's own build), cpu_model and
+# num_cpus.
 
 set -euo pipefail
 
@@ -34,11 +38,13 @@ GRAPHSCAPE_BENCH_OUT="$tmp/fig_artifacts" \
 (cd "$tmp" && GRAPHSCAPE_BENCH_OUT="$tmp/fig_artifacts" \
   "$build_dir/bench_service_qps" > "$tmp/service_qps.txt")
 
-python3 - "$tmp" "$output" <<'EOF'
+python3 - "$tmp" "$output" "$build_dir" <<'EOF'
 import json
+import os
+import platform
 import sys
 
-tmp, output = sys.argv[1], sys.argv[2]
+tmp, output, build_dir = sys.argv[1], sys.argv[2], sys.argv[3]
 merged = {"context": None, "benchmarks": [], "tables": {}}
 for name in ("scalar_tree", "edge_tree", "queries", "terrain",
              "metrics", "intersect", "service"):
@@ -52,6 +58,24 @@ for table, path in (("table1_datasets", f"{tmp}/table1.txt"),
                     ("table456_userstudy", f"{tmp}/table456.txt")):
     with open(path) as f:
         merged["tables"][table] = [l for l in f.read().split("\n") if l]
+
+
+def first_value(path, key, sep):
+    try:
+        with open(path) as f:
+            for line in f:
+                if line.startswith(key):
+                    return line.split(sep, 1)[1].strip()
+    except OSError:
+        pass
+    return ""
+
+
+merged["cmake_build_type"] = first_value(
+    f"{build_dir}/CMakeCache.txt", "CMAKE_BUILD_TYPE:", "=")
+merged["cpu_model"] = (first_value("/proc/cpuinfo", "model name", ":")
+                       or platform.processor())
+merged["num_cpus"] = os.cpu_count()
 with open(output, "w") as f:
     json.dump(merged, f, indent=1)
 print(f"wrote {output}")

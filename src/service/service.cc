@@ -25,6 +25,9 @@ namespace {
 // dominant structures, few enough to stay local.
 constexpr uint32_t kCorrelationPeaks = 10;
 
+// TILE width/height above this are INVALID_ARGUMENT outright.
+constexpr uint32_t kMaxTileDim = 2048;
+
 void Bump(std::atomic<uint64_t>* counter) {
   counter->fetch_add(1, std::memory_order_relaxed);
 }
@@ -209,11 +212,10 @@ StatusOr<std::string> QueryService::HandleCorrelation(
 StatusOr<QueryService::Frame> QueryService::HandleTile(
     const Request& request) {
   if (request.width == 0 || request.height == 0 ||
-      request.width > options_.max_tile_dim ||
-      request.height > options_.max_tile_dim) {
+      request.width > kMaxTileDim || request.height > kMaxTileDim) {
     return Status::InvalidArgument(
         StrPrintf("TILE dimensions %ux%u outside 1..%u", request.width,
-                  request.height, options_.max_tile_dim));
+                  request.height, kMaxTileDim));
   }
   StatusOr<std::shared_ptr<const LoadedArtifact>> loaded =
       GetArtifact(request.dataset, request.field);
@@ -249,7 +251,6 @@ StatusOr<QueryService::Frame> QueryService::HandleTile(
   render_options.image_height = request.height;
   render_options.camera.azimuth_deg = request.azimuth_deg;
   render_options.camera.elevation_deg = request.elevation_deg;
-  render_options.min_raster_dim = options_.min_raster_dim;
   StatusOr<GuardedRenderResult> rendered = RenderTreeTerrainGuarded(
       loaded.value()->artifact.tree, &budget, render_options);
   if (!rendered.ok()) return rendered.status();

@@ -80,10 +80,6 @@ class QueryService {
     uint64_t request_budget_bytes = 256ull << 20;
     /// Per-request wall deadline, seconds (0 = none).
     double request_deadline_seconds = 10.0;
-    /// TILE width/height above this are INVALID_ARGUMENT outright.
-    uint32_t max_tile_dim = 2048;
-    /// Floor of the render ladder's resolution halving.
-    uint32_t min_raster_dim = 64;
   };
 
   /// Opens (and recovers, per ArtifactCache::Open) the cache at

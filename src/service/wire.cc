@@ -154,26 +154,6 @@ StatusOr<StatusCode> StatusCodeFromWire(uint32_t wire_code) {
   }
 }
 
-const char* VerbName(Verb verb) {
-  switch (verb) {
-    case Verb::kTree:
-      return "TREE";
-    case Verb::kPeaks:
-      return "PEAKS";
-    case Verb::kTopPeaks:
-      return "TOPPEAKS";
-    case Verb::kMembers:
-      return "MEMBERS";
-    case Verb::kCorrelation:
-      return "CORRELATION";
-    case Verb::kTile:
-      return "TILE";
-    case Verb::kStats:
-      return "STATS";
-  }
-  return "?";
-}
-
 StatusOr<Request> ParseRequestLine(const std::string& line) {
   if (line.size() > kMaxRequestLine) {
     return Status::InvalidArgument(

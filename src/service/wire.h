@@ -92,9 +92,6 @@ enum class Verb : uint8_t {
   kStats,        ///< STATS
 };
 
-/// Spelling of a verb on the wire ("TREE", "PEAKS", ...).
-const char* VerbName(Verb verb);
-
 /// One parsed request. Only the fields the verb's grammar names are
 /// meaningful; the rest stay default-initialized.
 struct Request {

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 
+#include "terrain/terrain_layout.h"
+
 namespace graphscape {
 namespace {
 
@@ -67,7 +69,7 @@ StatusOr<GuardedRenderResult> RenderTreeTerrainGuarded(
       continue;  // this rung doesn't fit; the next one is cheaper
     }
 
-    const TerrainLayout layout = BuildTerrainLayout(tree, options.layout);
+    const TerrainLayout layout = BuildTerrainLayout(tree);
     const HeightField height_field = RasterizeTerrain(layout, raster);
     GuardedRenderResult result;
     result.image = RenderOblique(height_field, HeightColors(tree),

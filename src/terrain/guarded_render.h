@@ -28,7 +28,6 @@
 #include "common/status.h"
 #include "scalar/super_tree.h"
 #include "terrain/render.h"
-#include "terrain/terrain_layout.h"
 #include "terrain/terrain_raster.h"
 
 namespace graphscape {
@@ -39,7 +38,6 @@ struct GuardedRenderOptions {
   uint32_t image_width = 960;
   uint32_t image_height = 720;
   Camera camera;
-  TerrainLayoutOptions layout;
   /// Halving stops once either raster dimension would drop below this
   /// (0 counts as 1); the next refusal is final.
   uint32_t min_raster_dim = 64;

@@ -13,6 +13,8 @@ namespace {
 constexpr double kPi = 3.14159265358979323846;
 constexpr Rgb kSeaColor{30, 58, 95};
 constexpr Rgb kSkyColor{255, 255, 255};
+// Peak height relative to the field extent.
+constexpr double kHeightScale = 0.22;
 
 inline Rgb Shade(Rgb color, double factor) {
   const auto channel = [factor](uint8_t c) {
@@ -142,8 +144,7 @@ Image RenderOblique(const HeightField& field,
 
   // Fit the rotated square (diagonal sqrt(2)) plus the tallest column
   // into a 92% viewport box.
-  const double vertical_extent =
-      std::sqrt(2.0) * sin_e + camera.height_scale * cos_e;
+  const double vertical_extent = std::sqrt(2.0) * sin_e + kHeightScale * cos_e;
   const double scale = std::min(0.92 * image.width / std::sqrt(2.0),
                                 0.92 * image.height / vertical_extent);
   const double cx = image.width * 0.5;
@@ -222,7 +223,7 @@ Image RenderOblique(const HeightField& field,
 
     const double sx = cx + ur * scale;
     const double base_y = cy + vr * scale * sin_e;
-    const double top_y = base_y - h_norm * camera.height_scale * scale * cos_e;
+    const double top_y = base_y - h_norm * kHeightScale * scale * cos_e;
 
     const int ix = RoundHalfAway(sx);
     const int iy_base = RoundHalfAway(base_y);
@@ -276,24 +277,6 @@ Image RenderOblique(const HeightField& field,
         span = Span{py0, py1};
       }
     }
-  }
-  return image;
-}
-
-Image RenderTopDown(const HeightField& field,
-                    const std::vector<Rgb>& node_colors) {
-  Image image;
-  image.width = std::max(field.width, 1u);
-  image.height = std::max(field.height, 1u);
-  image.pixels.assign(static_cast<size_t>(image.width) * image.height,
-                      kSeaColor);
-  const double range = field.max_value - field.sea_level;
-  const size_t cells = static_cast<size_t>(field.width) * field.height;
-  for (size_t i = 0; i < cells; ++i) {
-    const double h_norm =
-        range > 0.0 ? (field.height_at[i] - field.sea_level) / range : 0.0;
-    image.pixels[i] =
-        Shade(CellColor(field, node_colors, i), 0.6 + 0.4 * h_norm);
   }
   return image;
 }

@@ -3,18 +3,16 @@
 //
 // Software renderer for terrain height fields — no GPU, no external
 // image library; the artifacts are plain binary PPMs CI can diff and
-// upload. Two projections:
-//
-//   * RenderOblique — the paper's 3D landscape view: the field is
-//     rotated by the camera azimuth, tilted by its elevation, and drawn
-//     as vertical columns with slope shading along the light direction.
-//     Cells are walked front to back in depth-bucket order and a pixel
-//     keeps its first writer; a written mask plus one covered row run
-//     per screen column skip pixels already final, and cells hidden
-//     entirely are rejected before shading. The bytes equal those of the
-//     classic back-to-front heightfield painter (last writer wins), which
-//     tests/render_oracle_test.cc keeps as the oracle.
-//   * RenderTopDown — one output pixel per field cell, the 2D map view.
+// upload. One projection, RenderOblique — the paper's 3D landscape
+// view: the field is rotated by the camera azimuth, tilted by its
+// elevation, and drawn as vertical columns (peaks 0.22 of the field
+// extent tall) with slope shading along the light direction. Cells are
+// walked front to back in depth-bucket order and a pixel keeps its
+// first writer; a written mask plus one covered row run per screen
+// column skip pixels already final, and cells hidden entirely are
+// rejected before shading. The bytes equal those of the classic
+// back-to-front heightfield painter (last writer wins), which
+// tests/render_oracle_test.cc keeps as the oracle.
 //
 // Color lives per SUPER NODE, not per pixel: a column is colored by the
 // node that owns its footprint pixel. Two node->color mappers cover the
@@ -48,7 +46,6 @@ struct Rgb {
 struct Camera {
   double azimuth_deg = 225.0;    ///< rotation of the field around "up"
   double elevation_deg = 42.0;   ///< 90 = top-down, 0 = horizon
-  double height_scale = 0.22;    ///< peak height relative to field extent
 };
 
 struct Image {
@@ -85,9 +82,6 @@ std::vector<Rgb> SuperNodeColors(const SuperTree& tree,
 Image RenderOblique(const HeightField& field,
                     const std::vector<Rgb>& node_colors, const Camera& camera,
                     uint32_t width, uint32_t height);
-
-Image RenderTopDown(const HeightField& field,
-                    const std::vector<Rgb>& node_colors);
 
 /// Binary PPM (P6) as an in-memory byte string — the TILE verb of the
 /// query service ships exactly these bytes as its payload, so the

@@ -5,10 +5,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 namespace graphscape {
 namespace {
+
+// Fraction of each footprint's side length kept as the sibling gap and
+// the parent annulus floor.
+constexpr double kMargin = 0.04;
 
 // Shrinks `rect` by `fraction` of its own side length on every side —
 // the sibling gap. Strictly smaller for any fraction in (0, 0.5).
@@ -20,10 +23,9 @@ LandRect ShrinkByFraction(const LandRect& rect, double fraction) {
 
 // Scales `rect` around its center so its area becomes `area_fraction` of
 // the original, capped so a strict border always survives.
-LandRect ScaleToAreaFraction(const LandRect& rect, double area_fraction,
-                             double margin) {
+LandRect ScaleToAreaFraction(const LandRect& rect, double area_fraction) {
   const double scale = std::min(std::sqrt(std::max(area_fraction, 0.01)),
-                                1.0 - 2.0 * margin);
+                                1.0 - 2.0 * kMargin);
   const double cx = (rect.x0 + rect.x1) * 0.5;
   const double cy = (rect.y0 + rect.y1) * 0.5;
   const double hw = rect.Width() * 0.5 * scale;
@@ -32,10 +34,10 @@ LandRect ScaleToAreaFraction(const LandRect& rect, double area_fraction,
 }
 
 // Partitions `rect` among children[lo, hi) proportionally to their
-// masses. kSliceDice cuts parallel strips (direction alternating with
-// `depth`); kBalanced recursively halves the mass and cuts the longer
-// side. Every assigned footprint is then shrunk by `margin` so siblings
-// are separated and containment in `rect` is strict.
+// masses: split the list at the prefix closest to half the mass (always
+// leaving both halves nonempty), cut the longer side there and recurse.
+// Every assigned footprint is then shrunk by kMargin so siblings are
+// separated and containment in `rect` is strict.
 struct ChildSlice {
   const uint32_t* children;
   const double* masses;
@@ -43,34 +45,12 @@ struct ChildSlice {
 
 void AssignChildRects(const ChildSlice& slice, uint32_t lo, uint32_t hi,
                       const LandRect& rect, double total_mass,
-                      SplitPolicy policy, uint32_t depth, double margin,
                       std::vector<LandRect>* rects) {
   if (lo >= hi) return;
   if (hi - lo == 1) {
-    (*rects)[slice.children[lo]] = ShrinkByFraction(rect, margin);
+    (*rects)[slice.children[lo]] = ShrinkByFraction(rect, kMargin);
     return;
   }
-  if (policy == SplitPolicy::kSliceDice) {
-    const bool horizontal = (depth % 2) == 0;  // strips side by side in x
-    double cursor = horizontal ? rect.x0 : rect.y0;
-    const double extent = horizontal ? rect.Width() : rect.Height();
-    for (uint32_t i = lo; i < hi; ++i) {
-      const double share = extent * slice.masses[i] / total_mass;
-      LandRect strip = rect;
-      if (horizontal) {
-        strip.x0 = cursor;
-        strip.x1 = i + 1 == hi ? rect.x1 : cursor + share;
-      } else {
-        strip.y0 = cursor;
-        strip.y1 = i + 1 == hi ? rect.y1 : cursor + share;
-      }
-      cursor += share;
-      (*rects)[slice.children[i]] = ShrinkByFraction(strip, margin);
-    }
-    return;
-  }
-  // kBalanced: split [lo, hi) at the prefix closest to half the mass
-  // (always leaving both halves nonempty), cut the longer side there.
   double prefix = 0.0;
   uint32_t mid = lo + 1;
   for (uint32_t i = lo; i + 1 < hi; ++i) {
@@ -91,20 +71,17 @@ void AssignChildRects(const ChildSlice& slice, uint32_t lo, uint32_t hi,
     a.y1 = cut;
     b.y0 = cut;
   }
-  AssignChildRects(slice, lo, mid, a, left_mass, policy, depth, margin, rects);
-  AssignChildRects(slice, mid, hi, b, total_mass - left_mass, policy, depth,
-                   margin, rects);
+  AssignChildRects(slice, lo, mid, a, left_mass, rects);
+  AssignChildRects(slice, mid, hi, b, total_mass - left_mass, rects);
 }
 
 }  // namespace
 
-TerrainLayout BuildTerrainLayout(const SuperTree& tree,
-                                 const TerrainLayoutOptions& options) {
+TerrainLayout BuildTerrainLayout(const SuperTree& tree) {
   TerrainLayout layout;
   const uint32_t n = tree.NumNodes();
   if (n == 0) return layout;
   const TreeMemberIndex& index = tree.MemberIndex();
-  const double margin = std::min(std::max(options.margin, 1e-3), 0.49);
 
   layout.rects.resize(n);
   layout.values.resize(n);
@@ -135,17 +112,16 @@ TerrainLayout BuildTerrainLayout(const SuperTree& tree,
     }
     const ChildSlice slice{roots.data(), masses.data()};
     AssignChildRects(slice, 0, static_cast<uint32_t>(roots.size()),
-                     LandRect{0.0, 0.0, 1.0, 1.0}, total, options.split, 0,
-                     margin, &layout.rects);
+                     LandRect{0.0, 0.0, 1.0, 1.0}, total, &layout.rects);
   }
 
-  // Preorder descent with an explicit (node, depth) stack — no call
-  // recursion over tree depth, so chain-heavy trees are safe.
-  std::vector<std::pair<uint32_t, uint32_t>> stack;
+  // Preorder descent with an explicit node stack — no call recursion
+  // over tree depth, so chain-heavy trees are safe.
+  std::vector<uint32_t> stack;
   stack.reserve(n);
-  for (size_t i = roots.size(); i-- > 0;) stack.push_back({roots[i], 1u});
+  for (size_t i = roots.size(); i-- > 0;) stack.push_back(roots[i]);
   while (!stack.empty()) {
-    const auto [node, depth] = stack.back();
+    const uint32_t node = stack.back();
     stack.pop_back();
     layout.paint_order.push_back(node);
     const MemberRange children = index.Children(node);
@@ -162,13 +138,12 @@ TerrainLayout BuildTerrainLayout(const SuperTree& tree,
     // The annulus: children squeeze into an inner rect whose area share
     // is their mass share, so the parent keeps land proportional to its
     // own member count around them.
-    const LandRect inner = ScaleToAreaFraction(
-        layout.rects[node], child_mass / node_mass, margin);
+    const LandRect inner =
+        ScaleToAreaFraction(layout.rects[node], child_mass / node_mass);
     const ChildSlice slice{children.begin(), masses.data()};
     AssignChildRects(slice, 0, children.size(), inner, child_mass,
-                     options.split, depth, margin, &layout.rects);
-    for (uint32_t i = children.size(); i-- > 0;)
-      stack.push_back({children[i], depth + 1});
+                     &layout.rects);
+    for (uint32_t i = children.size(); i-- > 0;) stack.push_back(children[i]);
   }
   return layout;
 }

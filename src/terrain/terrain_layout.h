@@ -22,13 +22,9 @@
 // The allocation runs over the cached TreeMemberIndex — Children() for
 // the recursion, SubtreeMemberCount() for the masses — in one preorder
 // pass with an explicit stack: O(nodes) after the index build, no
-// recursion depth hazard on chain-heavy trees.
-//
-// Split policies (the DESIGN.md ablation, benchmarked by
-// bench_micro_terrain): kSliceDice alternates horizontal/vertical strip
-// splits by depth — trivially fast, but aspect ratios degrade with
-// fan-out; kBalanced recursively halves the child list by mass and
-// splits the longer side — near-square plots at a log(children) factor.
+// recursion depth hazard on chain-heavy trees. Siblings share their
+// parent's inner rect by recursively halving the child list by mass and
+// cutting the longer side — near-square plots at a log(children) factor.
 
 #ifndef GRAPHSCAPE_TERRAIN_TERRAIN_LAYOUT_H_
 #define GRAPHSCAPE_TERRAIN_TERRAIN_LAYOUT_H_
@@ -56,18 +52,6 @@ struct LandRect {
   }
 };
 
-enum class SplitPolicy : uint8_t {
-  kSliceDice,  ///< alternate strip direction by depth
-  kBalanced,   ///< binary mass-balanced splits along the longer side
-};
-
-struct TerrainLayoutOptions {
-  SplitPolicy split = SplitPolicy::kBalanced;
-  /// Fraction of each footprint's side length kept as the sibling gap +
-  /// parent annulus floor. Must be in (0, 0.5).
-  double margin = 0.04;
-};
-
 struct TerrainLayout {
   /// Per super node, indexed like the source tree.
   std::vector<LandRect> rects;
@@ -89,8 +73,7 @@ struct TerrainLayout {
   }
 };
 
-TerrainLayout BuildTerrainLayout(const SuperTree& tree,
-                                 const TerrainLayoutOptions& options = {});
+TerrainLayout BuildTerrainLayout(const SuperTree& tree);
 
 }  // namespace graphscape
 

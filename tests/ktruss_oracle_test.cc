@@ -221,7 +221,7 @@ TEST(TrussOracleTest, OwnershipTieBreaks) {
   }
 }
 
-TEST(TrussOracleTest, ParallelSupportSpansSeveralBlocks) {
+TEST(TrussOracleTest, SparseErdosRenyiWithManyOwners) {
   // A sparse 300-vertex random graph: support counting walks many
   // owners, each with a few owned edges.
   Rng rng(31);

@@ -29,7 +29,6 @@
 #include "community/bigclam.h"
 #include "community/roles.h"
 #include "gen/generators.h"
-#include "graph/graph_builder.h"
 #include "layout/spring_layout.h"
 #include "query/nn_graph.h"
 #include "query/table.h"
@@ -101,18 +100,6 @@ TEST(EffectiveLanesTest, ClampsToBlocksAndCeiling) {
 
 // ------------------------------------------------- oracle graph families --
 
-Graph Path(uint32_t n) {
-  GraphBuilder builder(n);
-  for (uint32_t v = 0; v + 1 < n; ++v) builder.AddEdge(v, v + 1);
-  return builder.Build();
-}
-
-Graph Star(uint32_t leaves) {
-  GraphBuilder builder(leaves + 1);
-  for (uint32_t v = 1; v <= leaves; ++v) builder.AddEdge(0, v);
-  return builder.Build();
-}
-
 Graph Collab(uint32_t n) {
   CollaborationOptions opts;
   opts.num_vertices = n;
@@ -176,69 +163,6 @@ TEST(ParallelTreeForwardTest, ForwardsMatchSequentialBuilds) {
     EXPECT_EQ(ArtifactBytes(edge_tree, "f", edge_values), edge_bytes)
         << "width " << width;
   }
-}
-
-// Asserts BuildVertexScalarTreeParallel == BuildVertexScalarTree at the
-// TreeArtifact byte level for all pinned widths, plus raw parent/order/
-// root equality (sharper failure messages than a byte diff).
-void ExpectVertexTreeIdentical(const Graph& g,
-                               const std::vector<double>& values) {
-  const VertexScalarField field("f", values);
-  const ScalarTree seq = BuildVertexScalarTree(g, field);
-  const std::string seq_bytes = ArtifactBytes(seq, "f", values);
-  for (const uint32_t width : kWidths) {
-    const ScalarTree par = BuildVertexScalarTreeParallel(g, field, {width, 1});
-    EXPECT_EQ(par.Parents(), seq.Parents()) << "width " << width;
-    EXPECT_EQ(par.SweepOrder(), seq.SweepOrder()) << "width " << width;
-    EXPECT_EQ(par.NumRoots(), seq.NumRoots()) << "width " << width;
-    EXPECT_EQ(ArtifactBytes(par, "f", values), seq_bytes) << "width " << width;
-  }
-}
-
-TEST(ParallelVertexTreeTest, PathFamilies) {
-  const Graph g = Path(257);
-  // Two-peak profile: merges happen at a saddle mid-path.
-  std::vector<double> two_peak(257);
-  for (uint32_t v = 0; v < 257; ++v) {
-    const double a = 100.0 - std::abs(60.0 - static_cast<double>(v));
-    const double b = 95.0 - std::abs(190.0 - static_cast<double>(v));
-    two_peak[v] = a > b ? a : b;
-  }
-  ExpectVertexTreeIdentical(g, two_peak);
-  ExpectVertexTreeIdentical(g, DistinctField(257, 5));
-}
-
-TEST(ParallelVertexTreeTest, StarFamilies) {
-  const Graph g = Star(64);
-  ExpectVertexTreeIdentical(g, DistinctField(65, 9));
-  ExpectVertexTreeIdentical(g, PlateauField(65, 3, 9));
-}
-
-TEST(ParallelVertexTreeTest, ErdosRenyiWithIsolatedVertices) {
-  Rng rng(3);
-  // Sparse: multiple components and isolated vertices (several roots).
-  const Graph g = ErdosRenyi(2048, 0.0008, &rng);
-  ExpectVertexTreeIdentical(g, DistinctField(2048, 21));
-}
-
-TEST(ParallelVertexTreeTest, AdversarialChunkBoundaries) {
-  Rng rng(42);
-  const Graph g = BarabasiAlbert(331, 3, &rng);  // prime vertex count
-  // Constant field: the rank order is pure id order; one plateau spans
-  // the whole graph.
-  ExpectVertexTreeIdentical(g, std::vector<double>(331, 1.0));
-  // Two-value field: ties everywhere.
-  ExpectVertexTreeIdentical(g, PlateauField(331, 2, 29));
-  ExpectVertexTreeIdentical(g, DistinctField(331, 31));
-}
-
-TEST(ParallelVertexTreeTest, DegenerateSizes) {
-  // Empty graph.
-  ExpectVertexTreeIdentical(GraphBuilder(0).Build(), {});
-  // Single vertex (no edges).
-  ExpectVertexTreeIdentical(GraphBuilder(1).Build(), {0.5});
-  // Fewer elements than any requested width: 7 threads, 3 vertices.
-  ExpectVertexTreeIdentical(Path(3), {1.0, 3.0, 2.0});
 }
 
 // ------------------------------------------------------ parallel metrics --

@@ -34,6 +34,7 @@ namespace {
 constexpr double kPi = 3.14159265358979323846;
 constexpr Rgb kSeaColor{30, 58, 95};
 constexpr Rgb kSkyColor{255, 255, 255};
+constexpr double kHeightScale = 0.22;  // the renderer's peak height
 
 inline Rgb Shade(Rgb color, double factor) {
   const auto channel = [factor](uint8_t c) {
@@ -69,8 +70,7 @@ Image PainterOracle(const HeightField& field,
 
   // Fit the rotated square (diagonal sqrt(2)) plus the tallest column
   // into a 92% viewport box.
-  const double vertical_extent =
-      std::sqrt(2.0) * sin_e + camera.height_scale * cos_e;
+  const double vertical_extent = std::sqrt(2.0) * sin_e + kHeightScale * cos_e;
   const double scale = std::min(0.92 * image.width / std::sqrt(2.0),
                                 0.92 * image.height / vertical_extent);
   const double cx = image.width * 0.5;
@@ -119,7 +119,7 @@ Image PainterOracle(const HeightField& field,
 
     const double sx = cx + ur * scale;
     const double base_y = cy + vr * scale * sin_e;
-    const double top_y = base_y - h_norm * camera.height_scale * scale * cos_e;
+    const double top_y = base_y - h_norm * kHeightScale * scale * cos_e;
 
     // Slope shading: compare against the next cell along +x in field
     // space (a fixed light direction keeps renders deterministic).

@@ -238,6 +238,7 @@ TEST(SweepOrderTest, MatchesComparatorOracle) {
 // by (value desc, id asc); a neighbour u of w is already swept iff
 // rank[u] < rank[w]. Roots are counted by a scan over the parents.
 struct SweepOracle {
+  std::vector<VertexId> order;
   std::vector<VertexId> parents;
   uint32_t num_roots = 0;
 };
@@ -271,6 +272,7 @@ SweepOracle RankArraySweep(const Graph& g, const std::vector<double>& values) {
   for (const VertexId p : out.parents) {
     if (p == kInvalidVertex) ++out.num_roots;
   }
+  out.order = std::move(order);
   return out;
 }
 
@@ -295,6 +297,7 @@ void ExpectSweepMatchesRankOracle(const Graph& g,
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
     ASSERT_EQ(tree.Parent(v), oracle.parents[v]) << "vertex " << v;
   }
+  EXPECT_EQ(tree.SweepOrder(), oracle.order);
   EXPECT_EQ(tree.NumRoots(), oracle.num_roots);
 }
 
@@ -321,6 +324,23 @@ TEST(ScalarTreeTest, SweptBitmapMatchesRankOracle) {
       ExpectSweepMatchesRankOracle(g, distinct, label + " distinct");
     }
   }
+
+  // Two-peak path: the peaks' components merge at a saddle mid-path.
+  std::vector<double> two_peak(257);
+  for (uint32_t v = 0; v < 257; ++v) {
+    const double a = 100.0 - std::abs(60.0 - static_cast<double>(v));
+    const double b = 95.0 - std::abs(190.0 - static_cast<double>(v));
+    two_peak[v] = std::max(a, b);
+  }
+  ExpectSweepMatchesRankOracle(Path(257), two_peak, "two-peak path");
+  Rng rng(9);
+  std::vector<double> star_distinct(65), star_plateau(65);
+  for (double& v : star_distinct) v = rng.UniformDouble();
+  for (double& v : star_plateau) v = static_cast<double>(rng.UniformInt(3));
+  ExpectSweepMatchesRankOracle(Star(64), star_distinct, "star distinct");
+  ExpectSweepMatchesRankOracle(Star(64), star_plateau, "star plateau");
+  ExpectSweepMatchesRankOracle(GraphBuilder(0).Build(), {}, "empty graph");
+  ExpectSweepMatchesRankOracle(Path(3), {1.0, 3.0, 2.0}, "3-vertex path");
 }
 
 }  // namespace

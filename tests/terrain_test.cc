@@ -117,51 +117,41 @@ std::string ReadFile(const std::string& path) {
 }
 
 TEST(TerrainLayoutTest, ChildFootprintsStrictlyInsideParents) {
-  for (const SplitPolicy policy :
-       {SplitPolicy::kSliceDice, SplitPolicy::kBalanced}) {
-    TerrainLayoutOptions options;
-    options.split = policy;
-    for (const SuperTree& tree : {OracleTree(OracleGraph()), CollabTree(512)}) {
-      const TerrainLayout layout = BuildTerrainLayout(tree, options);
-      ASSERT_EQ(layout.NumNodes(), tree.NumNodes());
-      for (uint32_t node = 0; node < layout.NumNodes(); ++node) {
-        const uint32_t parent = layout.parents[node];
-        if (parent == kNoParent) continue;
-        EXPECT_TRUE(
-            layout.rects[parent].StrictlyContains(layout.rects[node]))
-            << "node " << node << " escapes parent " << parent;
-      }
+  for (const SuperTree& tree : {OracleTree(OracleGraph()), CollabTree(512)}) {
+    const TerrainLayout layout = BuildTerrainLayout(tree);
+    ASSERT_EQ(layout.NumNodes(), tree.NumNodes());
+    for (uint32_t node = 0; node < layout.NumNodes(); ++node) {
+      const uint32_t parent = layout.parents[node];
+      if (parent == kNoParent) continue;
+      EXPECT_TRUE(
+          layout.rects[parent].StrictlyContains(layout.rects[node]))
+          << "node " << node << " escapes parent " << parent;
     }
   }
 }
 
 TEST(TerrainLayoutTest, SiblingFootprintsAreDisjoint) {
-  for (const SplitPolicy policy :
-       {SplitPolicy::kSliceDice, SplitPolicy::kBalanced}) {
-    TerrainLayoutOptions options;
-    options.split = policy;
-    const SuperTree tree = CollabTree(512);
-    const TerrainLayout layout = BuildTerrainLayout(tree, options);
-    const TreeMemberIndex& index = tree.MemberIndex();
-    for (uint32_t node = 0; node < tree.NumNodes(); ++node) {
-      const MemberRange children = index.Children(node);
-      for (uint32_t i = 0; i < children.size(); ++i) {
-        for (uint32_t j = i + 1; j < children.size(); ++j) {
-          EXPECT_TRUE(layout.rects[children[i]].Disjoint(
-              layout.rects[children[j]]))
-              << "children " << children[i] << " and " << children[j]
-              << " of " << node << " overlap";
-        }
+  const SuperTree tree = CollabTree(512);
+  const TerrainLayout layout = BuildTerrainLayout(tree);
+  const TreeMemberIndex& index = tree.MemberIndex();
+  for (uint32_t node = 0; node < tree.NumNodes(); ++node) {
+    const MemberRange children = index.Children(node);
+    for (uint32_t i = 0; i < children.size(); ++i) {
+      for (uint32_t j = i + 1; j < children.size(); ++j) {
+        EXPECT_TRUE(layout.rects[children[i]].Disjoint(
+            layout.rects[children[j]]))
+            << "children " << children[i] << " and " << children[j]
+            << " of " << node << " overlap";
       }
     }
-    // Roots (distinct components) never share land either.
-    std::vector<uint32_t> roots;
-    for (uint32_t node = 0; node < tree.NumNodes(); ++node)
-      if (tree.Parent(node) == kNoParent) roots.push_back(node);
-    for (uint32_t i = 0; i < roots.size(); ++i)
-      for (uint32_t j = i + 1; j < roots.size(); ++j)
-        EXPECT_TRUE(layout.rects[roots[i]].Disjoint(layout.rects[roots[j]]));
   }
+  // Roots (distinct components) never share land either.
+  std::vector<uint32_t> roots;
+  for (uint32_t node = 0; node < tree.NumNodes(); ++node)
+    if (tree.Parent(node) == kNoParent) roots.push_back(node);
+  for (uint32_t i = 0; i < roots.size(); ++i)
+    for (uint32_t j = i + 1; j < roots.size(); ++j)
+      EXPECT_TRUE(layout.rects[roots[i]].Disjoint(layout.rects[roots[j]]));
 }
 
 TEST(TerrainLayoutTest, FootprintAreaTracksSubtreeMass) {
@@ -255,7 +245,7 @@ TEST(RenderTest, SuperNodeColorsAverageMemberValues) {
   EXPECT_EQ(colors[tree.NodeOf(2)], FourBandColor(0.5));  // mean 5 -> mid
 }
 
-TEST(RenderTest, ObliqueAndTopDownDimensions) {
+TEST(RenderTest, ObliqueDimensions) {
   const SuperTree tree = OracleTree(OracleGraph());
   RasterOptions options;
   options.width = options.height = 64;
@@ -265,9 +255,6 @@ TEST(RenderTest, ObliqueAndTopDownDimensions) {
   EXPECT_EQ(oblique.width, 320u);
   EXPECT_EQ(oblique.height, 200u);
   EXPECT_EQ(oblique.pixels.size(), 320u * 200u);
-  const Image top = RenderTopDown(field, colors);
-  EXPECT_EQ(top.width, field.width);
-  EXPECT_EQ(top.height, field.height);
 }
 
 TEST(RenderTest, PpmHeaderRoundTrips) {

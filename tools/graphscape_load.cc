@@ -140,43 +140,42 @@ size_t SampleCdf(const std::vector<double>& cdf, double u) {
 
 std::string MakeRequestLine(const std::string& klass,
                             const CorpusEntry& entry, Rng* rng) {
-  const std::string& field =
-      entry.fields[rng->UniformInt(static_cast<uint32_t>(
-          entry.fields.size()))];
+  const auto random_field = [&]() -> const std::string& {
+    return entry.fields[rng->UniformInt(
+        static_cast<uint32_t>(entry.fields.size()))];
+  };
+  service::Request request;  // an unknown class stays STATS
+  request.dataset = entry.dataset;
+  request.field = random_field();
   if (klass == "tree") {
-    return "TREE " + entry.dataset + " " + field;
-  }
-  if (klass == "peaks") {
+    request.verb = service::Verb::kTree;
+  } else if (klass == "peaks") {
     // Field ranges vary per dataset; any level is a legal query (an
     // empty superlevel set is a valid answer), so sample broadly.
-    return StrPrintf("PEAKS %s %s %.17g", entry.dataset.c_str(),
-                     field.c_str(), rng->UniformDouble() * 8.0);
-  }
-  if (klass == "toppeaks") {
-    return StrPrintf("TOPPEAKS %s %s %u", entry.dataset.c_str(),
-                     field.c_str(), 1 + rng->UniformInt(16));
-  }
-  if (klass == "members") {
+    request.verb = service::Verb::kPeaks;
+    request.level = rng->UniformDouble() * 8.0;
+  } else if (klass == "toppeaks") {
+    request.verb = service::Verb::kTopPeaks;
+    request.k = 1 + rng->UniformInt(16);
+  } else if (klass == "members") {
     // Node 0 exists in every non-empty tree (contraction mints roots
     // first), so the query is always valid without knowing the size.
-    return StrPrintf("MEMBERS %s %s 0", entry.dataset.c_str(),
-                     field.c_str());
-  }
-  if (klass == "correlation") {
-    const std::string& other =
-        entry.fields[rng->UniformInt(static_cast<uint32_t>(
-            entry.fields.size()))];
-    return "CORRELATION " + entry.dataset + " " + field + " " + other;
-  }
-  if (klass == "tile") {
+    request.verb = service::Verb::kMembers;
+    request.node = 0;
+  } else if (klass == "correlation") {
+    request.verb = service::Verb::kCorrelation;
+    request.field_b = random_field();
+  } else if (klass == "tile") {
     // A few camera presets, not a continuum: repeats are what give the
     // tile LRU its hits (watch tile_hits climb via STATS).
     static const double kAzimuths[] = {225.0, 45.0, 135.0, 315.0};
-    return StrPrintf("TILE %s %s %.17g %.17g 128 96",
-                     entry.dataset.c_str(), field.c_str(),
-                     kAzimuths[rng->UniformInt(4)], 42.0);
+    request.verb = service::Verb::kTile;
+    request.azimuth_deg = kAzimuths[rng->UniformInt(4)];
+    request.elevation_deg = 42.0;
+    request.width = 128;
+    request.height = 96;
   }
-  return "STATS";
+  return service::FormatRequestLine(request);
 }
 
 }  // namespace
