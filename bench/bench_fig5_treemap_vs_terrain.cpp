@@ -43,9 +43,9 @@ int main() {
   // Color-channel quantization: distinct KC values per four-band color.
   std::map<uint32_t, std::set<double>> values_per_band;
   for (uint32_t node = 0; node < tree.NumNodes(); ++node) {
-    const double t = NormalizeValue(tree.Scalar(node), kc.MinValue(),
+    const double t = NormalizeValue(tree.Value(node), kc.MinValue(),
                                     kc.MaxValue());
-    values_per_band[FourBandIndex(t)].insert(tree.Scalar(node));
+    values_per_band[FourBandIndex(t)].insert(tree.Value(node));
   }
   std::printf("distinct KC values collapsed into each treemap color band:\n");
   const char* band_names[4] = {"blue", "green", "yellow", "red"};

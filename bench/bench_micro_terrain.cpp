@@ -1,7 +1,8 @@
 // Copyright 2026 The GraphScape Authors.
 // Licensed under the Apache License, Version 2.0.
 //
-// Microbenchmarks of the terrain pipeline: the mass-balanced layout,
+// Microbenchmarks of the terrain pipeline: the mass-balanced layout (of
+// a plateau-heavy K-Core tree and a distinct-valued PageRank tree),
 // rasterization by resolution, the oblique software render and the
 // spring layout.
 
@@ -11,6 +12,7 @@
 #include "gen/generators.h"
 #include "layout/spring_layout.h"
 #include "metrics/kcore.h"
+#include "metrics/pagerank.h"
 #include "scalar/scalar_tree.h"
 #include "scalar/super_tree.h"
 #include "terrain/render.h"
@@ -20,12 +22,16 @@
 namespace graphscape {
 namespace {
 
-SuperTree BenchTree(uint32_t n) {
+Graph BenchGraph(uint32_t n) {
   CollaborationOptions options;
   options.num_vertices = n;
   options.num_groups = n / 2;
   Rng rng(5);
-  const Graph g = CollaborationNetwork(options, &rng);
+  return CollaborationNetwork(options, &rng);
+}
+
+SuperTree BenchTree(uint32_t n) {
+  const Graph g = BenchGraph(n);
   return SuperTree(BuildVertexScalarTree(
       g, VertexScalarField::FromCounts("KC", CoreNumbers(g))));
 }
@@ -36,6 +42,19 @@ void BM_Layout_Balanced(benchmark::State& state) {
   state.counters["super_nodes"] = tree.NumNodes();
 }
 BENCHMARK(BM_Layout_Balanced)->Range(1 << 12, 1 << 16);
+
+// The same graph under a PageRank field: values are nearly all distinct,
+// so the super tree keeps most vertices and the layout is as large as a
+// distinct-valued attribute terrain's (the KC tree above is a few
+// hundred plateaus).
+void BM_Layout_Distinct(benchmark::State& state) {
+  const Graph g = BenchGraph(static_cast<uint32_t>(state.range(0)));
+  const SuperTree tree(
+      BuildVertexScalarTree(g, VertexScalarField("PR", PageRank(g))));
+  for (auto _ : state) benchmark::DoNotOptimize(BuildTerrainLayout(tree));
+  state.counters["super_nodes"] = tree.NumNodes();
+}
+BENCHMARK(BM_Layout_Distinct)->Arg(1 << 16);
 
 void BM_Rasterize(benchmark::State& state) {
   const SuperTree tree = BenchTree(1 << 14);

@@ -53,6 +53,12 @@ inline void DefaultSleep(double seconds) {
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
+inline const Status& StatusOf(const Status& status) { return status; }
+template <typename T>
+const Status& StatusOf(const StatusOr<T>& result) {
+  return result.status();
+}
+
 }  // namespace retry_internal
 
 /// The backoff before retry number `attempt` (1-based: attempt 1 is the
@@ -74,37 +80,20 @@ inline double RetryBackoffSeconds(const RetryOptions& options,
   return backoff;
 }
 
-/// Runs `fn` (a callable returning Status) until it returns OK, returns
-/// a non-retryable code, or max_attempts is spent. The last Status is
-/// returned verbatim either way.
+/// Runs `fn` (a callable returning Status or StatusOr<T>) until it
+/// succeeds, fails with a non-retryable code, or max_attempts is spent.
+/// The last result is returned verbatim either way.
 template <typename Fn>
-Status RetryWithBackoff(const RetryOptions& options, Fn&& fn) {
-  Rng rng(options.jitter_seed);
-  const auto& sleep =
-      options.sleeper ? options.sleeper : retry_internal::DefaultSleep;
-  Status status = Status::Ok();
-  const uint32_t attempts = options.max_attempts == 0 ? 1 : options.max_attempts;
-  for (uint32_t attempt = 1; attempt <= attempts; ++attempt) {
-    status = fn();
-    if (status.ok() || !IsRetryable(status)) return status;
-    if (attempt < attempts) {
-      sleep(RetryBackoffSeconds(options, attempt, &rng));
-    }
-  }
-  return status;
-}
-
-/// StatusOr flavor: retries while fn().status() is retryable.
-template <typename T, typename Fn>
-StatusOr<T> RetryWithBackoffOr(const RetryOptions& options, Fn&& fn) {
+auto RetryWithBackoff(const RetryOptions& options, Fn&& fn)
+    -> decltype(fn()) {
   Rng rng(options.jitter_seed);
   const auto& sleep =
       options.sleeper ? options.sleeper : retry_internal::DefaultSleep;
   const uint32_t attempts = options.max_attempts == 0 ? 1 : options.max_attempts;
-  StatusOr<T> result = fn();
-  for (uint32_t attempt = 1;
-       !result.ok() && IsRetryable(result.status()) && attempt < attempts;
-       ++attempt) {
+  auto result = fn();
+  for (uint32_t attempt = 1; attempt < attempts; ++attempt) {
+    const Status& status = retry_internal::StatusOf(result);
+    if (status.ok() || !IsRetryable(status)) break;
     sleep(RetryBackoffSeconds(options, attempt, &rng));
     result = fn();
   }

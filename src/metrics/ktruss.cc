@@ -13,17 +13,6 @@
 
 namespace graphscape {
 
-std::vector<std::pair<VertexId, VertexId>> EdgeList(const Graph& g) {
-  std::vector<std::pair<VertexId, VertexId>> edges;
-  edges.reserve(g.NumEdges());
-  for (VertexId u = 0; u < g.NumVertices(); ++u) {
-    for (const VertexId v : g.Neighbors(u)) {
-      if (u < v) edges.emplace_back(u, v);
-    }
-  }
-  return edges;
-}
-
 namespace internal {
 
 // The EdgeIndex lives only for this call, so it is freed before the

@@ -26,7 +26,6 @@
 #define GRAPHSCAPE_METRICS_KTRUSS_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -34,11 +33,8 @@
 
 namespace graphscape {
 
-/// Unique undirected edges {u < v} in CSR order (ascending u, then v).
-/// Defines the edge indexing shared by TrussNumbers and EdgeScalarField.
-std::vector<std::pair<VertexId, VertexId>> EdgeList(const Graph& g);
-
-/// truss[e] for every edge in EdgeList order; values are >= 2.
+/// truss[e] for every edge in EdgeList order (Graph::EdgeEndpoints);
+/// values are >= 2.
 std::vector<uint32_t> TrussNumbers(const Graph& g);
 
 /// Runs TrussNumbers; kept until graphscape_bench stops calling it.

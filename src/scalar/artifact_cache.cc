@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -98,34 +99,18 @@ StatusOr<ArtifactCache> ArtifactCache::Open(const std::string& root,
         MakeDirs(dir[0] == '\0' ? root : root + "/" + dir);
     if (!made.ok()) return made;
   }
-  // Crash recovery step 1: any .tmp anywhere is an interrupted atomic
-  // write whose rename never happened — the content is unreferenced and
-  // possibly torn, so it is swept, not salvaged.
-  for (const std::string& dir : {root, root + "/" + kEntriesDir}) {
-    const Status swept = cache.SweepTemps(dir, &cache.stats_.temps_swept);
-    if (!swept.ok()) return swept;
-  }
-  const Status loaded = cache.LoadOrRecoverManifest();
-  if (!loaded.ok()) return loaded;
+  const bool manifest_ok = cache.ParseManifest();
+  StatusOr<ScrubReport> reconciled =
+      cache.Reconcile(/*verify_indexed=*/false, /*rewrite=*/!manifest_ok);
+  if (!reconciled.ok()) return reconciled.status();
+  cache.stats_.temps_swept = reconciled.value().temps_removed;
   return cache;
-}
-
-Status ArtifactCache::SweepTemps(const std::string& dir, uint64_t* removed) {
-  StatusOr<std::vector<std::string>> names = ListDir(dir);
-  if (!names.ok()) return names.status();
-  for (const std::string& name : names.value()) {
-    if (!EndsWith(name, kTempSuffix)) continue;
-    const Status gone = RemoveFile(dir + "/" + name);
-    if (!gone.ok()) return gone;
-    ++*removed;
-  }
-  return Status::Ok();
 }
 
 StatusOr<ArtifactCache::ManifestEntry> ArtifactCache::ValidateEntryFile(
     const std::string& canonical) {
   const std::string path = EntryPath(canonical);
-  StatusOr<std::string> bytes = RetryWithBackoffOr<std::string>(
+  StatusOr<std::string> bytes = RetryWithBackoff(
       options_.retry, [&path]() { return ReadFileBytes(path); });
   if (!bytes.ok()) return bytes.status();
   const StatusOr<TreeArtifact> parsed =
@@ -157,117 +142,139 @@ void ArtifactCache::QuarantineEntry(const std::string& canonical) {
   ++stats_.corrupt_quarantined;
 }
 
-Status ArtifactCache::LoadOrRecoverManifest() {
-  const std::string manifest_path = root_ + "/" + kManifestName;
-  const StatusOr<std::string> raw = ReadFileBytes(manifest_path);
-  bool manifest_ok = false;
-  if (raw.ok()) {
-    // Parse: "GSCM <version>\n" + entry lines + "sum <fnv-hex>\n". Any
-    // deviation (including a checksum mismatch) discards the manifest
-    // and falls through to recovery-by-scan — the entry files are
-    // individually self-validating, so nothing is lost.
-    manifest_ok = true;
-    std::map<std::string, ManifestEntry> parsed;
-    const std::string& text = raw.value();
-    size_t pos = 0;
-    bool saw_header = false, saw_sum = false;
-    while (pos < text.size() && manifest_ok) {
-      size_t eol = text.find('\n', pos);
-      if (eol == std::string::npos) {
-        manifest_ok = false;
-        break;
-      }
-      const std::string line = text.substr(pos, eol - pos);
-      if (!saw_header) {
-        manifest_ok = line == StrPrintf("GSCM %u", kArtifactCacheVersion);
-        saw_header = true;
-      } else if (line.compare(0, 4, "sum ") == 0) {
-        const uint64_t stored =
-            std::strtoull(line.c_str() + 4, nullptr, 16);
-        const uint64_t actual = Fnv1aChecksum(text.substr(0, pos));
-        manifest_ok = stored == actual && eol + 1 == text.size();
-        saw_sum = true;
-      } else if (line.compare(0, 6, "entry ") == 0) {
-        char enc[512];
-        unsigned long long size = 0, checksum = 0;
-        if (std::sscanf(line.c_str(), "entry %511s %llu %llx", enc, &size,
-                        &checksum) != 3) {
-          manifest_ok = false;
-          break;
-        }
-        StatusOr<std::string> key = DecodeKey(enc);
-        if (!key.ok()) {
-          manifest_ok = false;
-          break;
-        }
-        parsed[key.value()] = ManifestEntry{size, checksum};
-      } else {
-        manifest_ok = false;
-        break;
-      }
-      pos = eol + 1;
-    }
-    manifest_ok = manifest_ok && saw_header && saw_sum;
-    if (manifest_ok) entries_ = std::move(parsed);
+bool ArtifactCache::ParseManifest() {
+  const StatusOr<std::string> raw = ReadFileBytes(root_ + "/" + kManifestName);
+  if (!raw.ok()) {
+    // Absent is just a fresh cache; present but unreadable is a recovery.
+    stats_.manifest_recovered = raw.status().code() != StatusCode::kNotFound;
+    return false;
   }
-  if (!manifest_ok && (raw.ok() || raw.status().code() != StatusCode::kNotFound)) {
-    // Present but unreadable/corrupt counts as a recovery; merely absent
-    // with zero entries is just a fresh cache.
+  // "GSCM <version>\n" + entry lines + "sum <fnv-hex>\n". Any deviation
+  // (including a checksum mismatch) discards the manifest and leaves
+  // Reconcile to rebuild it from the entry files, which are individually
+  // self-validating, so nothing is lost.
+  std::map<std::string, ManifestEntry> parsed;
+  const std::string& text = raw.value();
+  size_t pos = 0;
+  bool ok = true, saw_header = false, saw_sum = false;
+  while (pos < text.size() && ok) {
+    const size_t eol = text.find('\n', pos);
+    if (eol == std::string::npos) {
+      ok = false;
+      break;
+    }
+    const std::string line = text.substr(pos, eol - pos);
+    if (!saw_header) {
+      ok = line == StrPrintf("GSCM %u", kArtifactCacheVersion);
+      saw_header = true;
+    } else if (line.compare(0, 4, "sum ") == 0) {
+      const uint64_t stored = std::strtoull(line.c_str() + 4, nullptr, 16);
+      ok = stored == Fnv1aChecksum(text.substr(0, pos)) &&
+           eol + 1 == text.size();
+      saw_sum = true;
+    } else if (line.compare(0, 6, "entry ") == 0) {
+      char enc[512];
+      unsigned long long size = 0, checksum = 0;
+      StatusOr<std::string> key = Status::InvalidArgument("bad row");
+      if (std::sscanf(line.c_str(), "entry %511s %llu %llx", enc, &size,
+                      &checksum) == 3) {
+        key = DecodeKey(enc);
+      }
+      ok = key.ok();
+      if (ok) parsed[key.value()] = ManifestEntry{size, checksum};
+    } else {
+      ok = false;
+    }
+    pos = eol + 1;
+  }
+  ok = ok && saw_header && saw_sum;
+  if (ok) {
+    entries_ = std::move(parsed);
+  } else {
     stats_.manifest_recovered = true;
   }
+  return ok;
+}
 
-  // Reconcile against the entry files on disk: they are the source of
-  // truth (each is internally checksummed); the manifest is an index.
-  bool changed = !manifest_ok && !entries_.empty();
-  if (!manifest_ok) entries_.clear();
-  StatusOr<std::vector<std::string>> names =
-      ListDir(root_ + "/" + kEntriesDir);
-  if (!names.ok()) return names.status();
-  std::map<std::string, ManifestEntry> on_disk_rows;
-  for (const std::string& name : names.value()) {
-    if (!EndsWith(name, kEntrySuffix)) continue;
-    const std::string enc =
-        name.substr(0, name.size() - std::strlen(kEntrySuffix));
-    StatusOr<std::string> key = DecodeKey(enc);
-    if (!key.ok()) continue;  // foreign file; leave it alone
-    const std::string canonical = key.value();
-    const auto it = entries_.find(canonical);
-    if (it != entries_.end()) {
-      // Fast path: size agrees with the manifest row — full checksum
-      // verification happens on every Get anyway.
-      StatusOr<uint64_t> size = FileSizeBytes(EntryPath(canonical));
-      if (size.ok() && size.value() == it->second.size) continue;
-    }
-    // Stray or suspicious: validate completely, then adopt or
-    // quarantine. A crash between entry rename and manifest commit
-    // lands here and is healed.
-    StatusOr<ManifestEntry> row = ValidateEntryFile(canonical);
-    if (row.ok()) {
-      entries_[canonical] = row.value();
-      if (!manifest_ok) {
-        stats_.manifest_recovered = true;
-      } else {
-        ++stats_.strays_adopted;
-      }
-      changed = true;
-    } else if (row.status().code() == StatusCode::kDataLoss) {
-      QuarantineEntry(canonical);
-      changed = true;
-    } else {
-      return row.status();
+StatusOr<ScrubReport> ArtifactCache::Reconcile(bool verify_indexed,
+                                               bool rewrite) {
+  ScrubReport report;
+  // Any .tmp is an interrupted atomic write whose rename never happened:
+  // the content is unreferenced and possibly torn, so it is swept, not
+  // salvaged.
+  for (const std::string& dir : {root_, root_ + "/" + kEntriesDir}) {
+    StatusOr<std::vector<std::string>> names = ListDir(dir);
+    if (!names.ok()) return names.status();
+    for (const std::string& name : names.value()) {
+      if (!EndsWith(name, kTempSuffix)) continue;
+      const Status gone = RemoveFile(dir + "/" + name);
+      if (!gone.ok()) return gone;
+      ++report.temps_removed;
     }
   }
-  // Manifest rows whose files vanished are dropped.
+  // The entry files are the source of truth (each is internally
+  // checksummed); the manifest is an index. Rows whose files vanished go.
+  bool changed = false;
   for (auto it = entries_.begin(); it != entries_.end();) {
     if (PathExists(EntryPath(it->first))) {
       ++it;
     } else {
       it = entries_.erase(it);
+      ++report.entries_checked;
+      ++report.missing_dropped;
       changed = true;
     }
   }
-  if (changed || !manifest_ok) return WriteManifest();
-  return Status::Ok();
+  StatusOr<std::vector<std::string>> names =
+      ListDir(root_ + "/" + kEntriesDir);
+  if (!names.ok()) return names.status();
+  std::set<std::string> on_disk;  // canonical keys, in report order
+  for (const std::string& name : names.value()) {
+    if (!EndsWith(name, kEntrySuffix)) continue;
+    StatusOr<std::string> key =
+        DecodeKey(name.substr(0, name.size() - std::strlen(kEntrySuffix)));
+    if (key.ok()) on_disk.insert(key.value());  // else foreign: left alone
+  }
+  for (const std::string& canonical : on_disk) {
+    const auto it = entries_.find(canonical);
+    const bool listed = it != entries_.end();
+    if (listed && !verify_indexed) {
+      // Open's fast path: a row whose size agrees is trusted; every Get
+      // verifies the full checksum anyway.
+      StatusOr<uint64_t> size = FileSizeBytes(EntryPath(canonical));
+      if (size.ok() && size.value() == it->second.size) continue;
+    }
+    // Unlisted, suspicious, or under Scrub: validate completely, then
+    // adopt or quarantine. A crash between entry rename and manifest
+    // commit lands here and is healed.
+    ++report.entries_checked;
+    StatusOr<ManifestEntry> row = ValidateEntryFile(canonical);
+    if (row.ok()) {
+      if (listed && row.value().size == it->second.size &&
+          row.value().checksum == it->second.checksum) {
+        ++report.entries_ok;
+        continue;
+      }
+      entries_[canonical] = row.value();
+      report.adopted.push_back(canonical);
+      if (rewrite) {
+        stats_.manifest_recovered = true;
+      } else {
+        ++stats_.strays_adopted;
+      }
+    } else if (row.status().code() == StatusCode::kDataLoss) {
+      QuarantineEntry(canonical);
+      report.quarantined.push_back(canonical);
+    } else {
+      return row.status();
+    }
+    changed = true;
+  }
+  if (changed || rewrite) {
+    const Status committed = WriteManifest();
+    if (!committed.ok()) return committed;
+  }
+  return report;
 }
 
 Status ArtifactCache::WriteManifest() {
@@ -345,7 +352,7 @@ StatusOr<TreeArtifact> ArtifactCache::Get(const ArtifactKey& key) {
     return Status::NotFound("cache: no entry for '" + canonical + "'");
   }
   const std::string path = EntryPath(canonical);
-  StatusOr<std::string> bytes = RetryWithBackoffOr<std::string>(
+  StatusOr<std::string> bytes = RetryWithBackoff(
       options_.retry, [&path]() { return ReadFileBytes(path); });
   if (!bytes.ok()) {
     if (bytes.status().code() == StatusCode::kNotFound) {
@@ -414,83 +421,8 @@ std::vector<std::string> ArtifactCache::Keys() const {
   return keys;
 }
 
-Status ArtifactCache::Remove(const ArtifactKey& key) {
-  const std::string canonical = key.Canonical();
-  if (entries_.erase(canonical) == 0) return Status::Ok();
-  const Status gone = RemoveFile(EntryPath(canonical));
-  if (!gone.ok()) return gone;
-  return WriteManifest();
-}
-
 StatusOr<ScrubReport> ArtifactCache::Scrub() {
-  ScrubReport report;
-  for (const std::string& dir : {root_, root_ + "/" + kEntriesDir}) {
-    const Status swept = SweepTemps(dir, &report.temps_removed);
-    if (!swept.ok()) return swept;
-  }
-  bool changed = report.temps_removed != 0;
-
-  // Pass 1: every manifest row re-verified byte-for-byte.
-  std::vector<std::string> keys = Keys();
-  for (const std::string& canonical : keys) {
-    ++report.entries_checked;
-    const ManifestEntry expected = entries_[canonical];
-    StatusOr<ManifestEntry> actual = ValidateEntryFile(canonical);
-    if (actual.ok()) {
-      if (actual.value().size == expected.size &&
-          actual.value().checksum == expected.checksum) {
-        ++report.entries_ok;
-      } else {
-        // The file is a valid artifact but not the one the manifest
-        // promised (torn write that half-landed, then got repaired out
-        // of band). The file is self-validating; trust it.
-        entries_[canonical] = actual.value();
-        report.adopted.push_back(canonical);
-        changed = true;
-      }
-    } else if (actual.status().code() == StatusCode::kDataLoss) {
-      QuarantineEntry(canonical);
-      report.quarantined.push_back(canonical);
-      changed = true;
-    } else if (actual.status().code() == StatusCode::kNotFound) {
-      entries_.erase(canonical);
-      ++report.missing_dropped;
-      changed = true;
-    } else {
-      return actual.status();
-    }
-  }
-
-  // Pass 2: entry files the manifest doesn't know about.
-  StatusOr<std::vector<std::string>> names =
-      ListDir(root_ + "/" + kEntriesDir);
-  if (!names.ok()) return names.status();
-  for (const std::string& name : names.value()) {
-    if (!EndsWith(name, kEntrySuffix)) continue;
-    const std::string enc =
-        name.substr(0, name.size() - std::strlen(kEntrySuffix));
-    StatusOr<std::string> key = DecodeKey(enc);
-    if (!key.ok() || entries_.count(key.value()) != 0) continue;
-    ++report.entries_checked;
-    StatusOr<ManifestEntry> row = ValidateEntryFile(key.value());
-    if (row.ok()) {
-      entries_[key.value()] = row.value();
-      report.adopted.push_back(key.value());
-      ++stats_.strays_adopted;
-    } else if (row.status().code() == StatusCode::kDataLoss) {
-      QuarantineEntry(key.value());
-      report.quarantined.push_back(key.value());
-    } else {
-      return row.status();
-    }
-    changed = true;
-  }
-
-  if (changed) {
-    const Status committed = WriteManifest();
-    if (!committed.ok()) return committed;
-  }
-  return report;
+  return Reconcile(/*verify_indexed=*/true, /*rewrite=*/false);
 }
 
 }  // namespace graphscape

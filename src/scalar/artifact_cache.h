@@ -21,7 +21,8 @@
 //   quarantine/<enc-key>.N.gsta corrupt bytes, moved aside (never
 //                               deleted) for postmortems.
 //   *.tmp                       in-flight atomic writes; any that
-//                               survive a crash are swept at Open().
+//                               survive a crash are swept at Open() and
+//                               Scrub().
 //
 // <enc-key> percent-encodes "dataset/field" so the mapping is bijective:
 // a lost MANIFEST is rebuilt from the entry files alone.
@@ -29,6 +30,11 @@
 // Failure semantics (the recovery state machine is drawn out in
 // docs/ROBUSTNESS.md):
 //
+//   * Recovery is one reconcile pass, run by Open() and Scrub(): sweep
+//     temps, drop rows whose files vanished, validate suspicious entry
+//     files, adopt the valid ones, quarantine the corrupt ones, commit
+//     the manifest once. Open() trusts a row whose file size matches;
+//     Scrub() validates every entry.
 //   * Writes are atomic: a crash at any seam leaves the previous entry
 //     (or no entry) plus at worst a stale temp — never a torn entry
 //     reachable from the manifest.
@@ -85,7 +91,8 @@ struct CacheStats {
   uint64_t put_failures = 0;       ///< GetOrBuild served but couldn't store
   uint64_t temps_swept = 0;        ///< stale .tmp files removed at Open
   bool manifest_recovered = false; ///< MANIFEST was missing/corrupt at Open
-  uint64_t strays_adopted = 0;     ///< valid entries found outside MANIFEST
+  uint64_t strays_adopted = 0;     ///< valid entries adopted over a
+                                   ///< missing or mismatched row
 };
 
 /// What a Scrub() pass found and fixed.
@@ -118,7 +125,8 @@ class ArtifactCache {
   /// Opens (creating directories as needed) and RECOVERS: sweeps stale
   /// temps, rebuilds a missing/corrupt MANIFEST by scanning and
   /// validating the entry files, drops manifest rows whose files are
-  /// gone, adopts valid stray entries a crash left un-manifested.
+  /// gone, adopts valid stray entries a crash left un-manifested, and
+  /// validates any listed entry whose size disagrees with its row.
   static StatusOr<ArtifactCache> Open(const std::string& root,
                                       const Options& options = {});
 
@@ -145,12 +153,8 @@ class ArtifactCache {
   /// Canonical keys, sorted.
   std::vector<std::string> Keys() const;
 
-  /// Drop `key`'s entry and commit the manifest. OK if absent.
-  Status Remove(const ArtifactKey& key);
-
-  /// Full offline verification pass (the cache_fsck engine): re-checks
-  /// every entry byte-for-byte, quarantines corruption, adopts strays,
-  /// sweeps temps, and rewrites the manifest if anything changed.
+  /// Full offline verification pass (the cache_fsck engine): Open's
+  /// recovery with every entry re-checked byte-for-byte.
   StatusOr<ScrubReport> Scrub();
 
   const CacheStats& stats() const { return stats_; }
@@ -171,8 +175,15 @@ class ArtifactCache {
       : root_(std::move(root)), options_(std::move(options)) {}
 
   std::string EntryPath(const std::string& canonical) const;
-  Status SweepTemps(const std::string& dir, uint64_t* removed);
-  Status LoadOrRecoverManifest();
+  /// Loads MANIFEST into entries_; false (entries_ left empty) when it is
+  /// absent, unreadable or corrupt.
+  bool ParseManifest();
+  /// The one recovery pass behind Open and Scrub: sweeps temps, drops
+  /// rows whose files vanished, validates every entry file the manifest
+  /// does not list, lists with another size, or (`verify_indexed`) lists
+  /// at all, adopts the valid ones and quarantines the corrupt ones, then
+  /// commits the manifest if anything changed or `rewrite` is set.
+  StatusOr<ScrubReport> Reconcile(bool verify_indexed, bool rewrite);
   Status WriteManifest();
   /// Validates the file behind `canonical` completely; returns its
   /// manifest row.

@@ -193,14 +193,10 @@ VertexScalarField LiftEdgeFieldToVertices(const Graph& g,
                                           const EdgeScalarField& field) {
   assert(field.Size() == g.NumEdges());
   std::vector<double> values(g.NumVertices(), field.MinValue());
-  uint32_t e = 0;
-  for (VertexId u = 0; u < g.NumVertices(); ++u) {
-    for (const VertexId v : g.Neighbors(u)) {
-      if (u >= v) continue;  // EdgeList order mints ids on u < v slots
-      values[u] = std::max(values[u], field[e]);
-      values[v] = std::max(values[v], field[e]);
-      ++e;
-    }
+  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    const auto [u, v] = g.EdgeEndpoints(e);
+    values[u] = std::max(values[u], field[e]);
+    values[v] = std::max(values[v], field[e]);
   }
   return VertexScalarField("lift(" + field.Name() + ")", std::move(values));
 }

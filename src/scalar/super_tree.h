@@ -93,10 +93,6 @@ class SuperTree {
   /// The shared scalar value of every element contracted into `node`.
   double Value(uint32_t node) const { return node_values_[node]; }
 
-  /// Alias for Value() — the terrain/figure call sites read the node's
-  /// height as "the scalar".
-  double Scalar(uint32_t node) const { return node_values_[node]; }
-
   /// How many elements were contracted into `node`.
   uint32_t MemberCount(uint32_t node) const { return member_counts_[node]; }
 

@@ -241,12 +241,8 @@ StatusOr<QueryService::Frame> QueryService::HandleTile(
   ResourceBudget budget(options_.request_budget_bytes,
                         options_.request_deadline_seconds);
   GuardedRenderOptions render_options;
-  render_options.raster.width = request.width;
-  render_options.raster.height = request.height;
-  // One raster thread: request-level parallelism comes from the server's
-  // worker pool, and ParallelFor regions serialize globally
-  // (common/parallel.h) — fanning out here would stall other requests.
-  render_options.raster.num_threads = 1;
+  render_options.raster_width = request.width;
+  render_options.raster_height = request.height;
   render_options.image_width = request.width;
   render_options.image_height = request.height;
   render_options.camera.azimuth_deg = request.azimuth_deg;

@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "terrain/terrain_layout.h"
+#include "terrain/terrain_raster.h"
 
 namespace graphscape {
 namespace {
@@ -53,14 +54,16 @@ StatusOr<GuardedRenderResult> RenderTreeTerrainGuarded(
   // divisor would double until it wrapped to 0.
   const uint32_t min_dim = std::max(options.min_raster_dim, 1u);
   for (uint32_t divisor = 1, halvings = 0;
-       divisor == 1 || (options.raster.width / divisor >= min_dim &&
-                        options.raster.height / divisor >= min_dim);
+       divisor == 1 || (options.raster_width / divisor >= min_dim &&
+                        options.raster_height / divisor >= min_dim);
        divisor *= 2, ++halvings) {
     Status deadline = CheckBudgetDeadline(budget, "terrain render");
     if (!deadline.ok()) return deadline;
+    // One raster lane: the query service renders tiles on its worker
+    // pool, and ParallelFor regions serialize globally.
     RasterOptions raster;
-    raster.width = options.raster.width / divisor;
-    raster.height = options.raster.height / divisor;
+    raster.width = options.raster_width / divisor;
+    raster.height = options.raster_height / divisor;
     const uint32_t image_w = std::max(options.image_width / divisor, 1u);
     const uint32_t image_h = std::max(options.image_height / divisor, 1u);
     const uint64_t working = TerrainRenderWorkingBytes(

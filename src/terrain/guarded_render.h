@@ -28,13 +28,13 @@
 #include "common/status.h"
 #include "scalar/super_tree.h"
 #include "terrain/render.h"
-#include "terrain/terrain_raster.h"
 
 namespace graphscape {
 
 struct GuardedRenderOptions {
-  /// Full-resolution request; degradation halves from here.
-  RasterOptions raster;
+  /// Full-resolution height-field request; degradation halves from here.
+  uint32_t raster_width = 512;
+  uint32_t raster_height = 512;
   uint32_t image_width = 960;
   uint32_t image_height = 720;
   Camera camera;

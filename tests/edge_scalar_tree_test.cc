@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -123,11 +124,23 @@ uint32_t SlotOf(const Graph& g, VertexId a, VertexId b) {
   return g.Offsets()[a] + static_cast<uint32_t>(it - run.begin());
 }
 
+// EdgeList order re-derived from the CSR: unique edges {u < v},
+// ascending u, then v. The oracle Graph's edge ids must agree with.
+std::vector<std::pair<VertexId, VertexId>> CsrEdgeList(const Graph& g) {
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId u = 0; u < g.NumVertices(); ++u) {
+    for (const VertexId v : g.Neighbors(u)) {
+      if (u < v) edges.emplace_back(u, v);
+    }
+  }
+  return edges;
+}
+
 // Checks both EdgeIndex invariants on g: ids agree with EdgeList order,
 // and both CSR slots of every edge carry that edge's id.
 void ExpectTwinMappingMatchesEdgeList(const Graph& g) {
   const EdgeIndex index(g);
-  const auto edges = EdgeList(g);
+  const auto edges = CsrEdgeList(g);
   ASSERT_EQ(g.NumEdges(), edges.size());
   for (uint32_t e = 0; e < edges.size(); ++e) {
     const auto [u, v] = edges[e];

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -27,21 +26,22 @@ namespace {
 // Brute force over a dense alive-edge matrix: O(m * n) per deletion round.
 std::vector<uint32_t> OracleTrussNumbers(const Graph& g) {
   const uint32_t n = g.NumVertices();
-  const std::vector<std::pair<VertexId, VertexId>> edges = EdgeList(g);
-  std::vector<uint32_t> truss(edges.size(), 2);
+  const uint32_t m = static_cast<uint32_t>(g.NumEdges());
+  std::vector<uint32_t> truss(m, 2);
   for (uint32_t k = 3;; ++k) {
     std::vector<char> alive(static_cast<size_t>(n) * n, 0);
-    std::vector<char> edge_alive(edges.size(), 1);
-    for (const auto& [u, v] : edges) {
+    std::vector<char> edge_alive(m, 1);
+    for (uint32_t e = 0; e < m; ++e) {
+      const auto [u, v] = g.EdgeEndpoints(e);
       alive[static_cast<size_t>(u) * n + v] = 1;
       alive[static_cast<size_t>(v) * n + u] = 1;
     }
     for (bool deleted = true; deleted;) {
       deleted = false;
       std::vector<uint32_t> doomed;
-      for (uint32_t e = 0; e < edges.size(); ++e) {
+      for (uint32_t e = 0; e < m; ++e) {
         if (!edge_alive[e]) continue;
-        const auto [u, v] = edges[e];
+        const auto [u, v] = g.EdgeEndpoints(e);
         uint32_t triangles = 0;
         for (VertexId w = 0; w < n; ++w) {
           triangles += alive[static_cast<size_t>(u) * n + w] &&
@@ -50,7 +50,7 @@ std::vector<uint32_t> OracleTrussNumbers(const Graph& g) {
         if (triangles < k - 2) doomed.push_back(e);
       }
       for (const uint32_t e : doomed) {
-        const auto [u, v] = edges[e];
+        const auto [u, v] = g.EdgeEndpoints(e);
         edge_alive[e] = 0;
         alive[static_cast<size_t>(u) * n + v] = 0;
         alive[static_cast<size_t>(v) * n + u] = 0;
@@ -58,7 +58,7 @@ std::vector<uint32_t> OracleTrussNumbers(const Graph& g) {
       }
     }
     bool any = false;
-    for (uint32_t e = 0; e < edges.size(); ++e) {
+    for (uint32_t e = 0; e < m; ++e) {
       if (edge_alive[e]) {
         truss[e] = k;
         any = true;
@@ -151,7 +151,8 @@ TEST(TrussOracleTest, HubPlusCliqueTakesTheGallopPath) {
     }
     const Graph g = builder.Build();
     bool skewed_pair = false;
-    for (const auto& [u, v] : EdgeList(g)) {
+    for (uint32_t e = 0; e < g.NumEdges(); ++e) {
+      const auto [u, v] = g.EdgeEndpoints(e);
       const uint32_t lo = std::min(g.Degree(u), g.Degree(v));
       const uint32_t hi = std::max(g.Degree(u), g.Degree(v));
       skewed_pair |= lo >= 2 && hi >= lo * intersect::kGallopSkewRatio;

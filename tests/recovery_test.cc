@@ -161,6 +161,29 @@ TEST_F(RecoveryTest, StrayEntryFromManifestCrashIsAdopted) {
   EXPECT_EQ(MustSerialize(loaded.value()), MustSerialize(artifact));
 }
 
+// Open trusts every manifest row whose file size agrees and reads only
+// the MANIFEST; Scrub re-reads every entry. The failpoint is armed to
+// fire never, so it only counts the reads.
+TEST_F(RecoveryTest, OpenReadsOnlyTheManifestAndScrubReadsEveryEntry) {
+  const std::string root = FreshRoot("fastpath");
+  {
+    ArtifactCache cache = MustOpen(root);
+    for (const char* dataset : {"a", "b", "c"}) {
+      ASSERT_TRUE(cache.Put(ArtifactKey{dataset, "f"}, MakeArtifact(37)).ok());
+    }
+  }
+  ScopedFailpoint reads("fs/open_read", Spec::After(1ull << 40));
+  ArtifactCache cache = MustOpen(root);
+  EXPECT_EQ(cache.Keys().size(), 3u);
+  EXPECT_EQ(reads.hit_count(), 1u);
+  const StatusOr<ScrubReport> report = cache.Scrub();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report.value().Clean());
+  EXPECT_EQ(report.value().entries_ok, 3u);
+  EXPECT_EQ(reads.hit_count(), 4u);
+  EXPECT_EQ(reads.fire_count(), 0u);
+}
+
 // MANIFEST deleted (or trashed) out-of-band: rebuilt by scanning and
 // validating the entry files, which are individually self-validating.
 TEST_F(RecoveryTest, LostOrCorruptManifestIsRebuiltFromEntries) {

@@ -97,7 +97,7 @@ TEST(RetryTest, GivesUpAfterMaxAttempts) {
 TEST(RetryTest, StatusOrFlavorRetriesAndReturnsTheValue) {
   int calls = 0;
   const StatusOr<int> result =
-      RetryWithBackoffOr<int>(FastRetry(nullptr), [&]() -> StatusOr<int> {
+      RetryWithBackoff(FastRetry(nullptr), [&]() -> StatusOr<int> {
         if (++calls < 2) return Status::Unavailable("flaky");
         return 41 + 1;
       });
@@ -179,8 +179,8 @@ SuperTree TestTree() {
 
 GuardedRenderOptions SmallRender() {
   GuardedRenderOptions options;
-  options.raster.width = 256;
-  options.raster.height = 256;
+  options.raster_width = 256;
+  options.raster_height = 256;
   options.image_width = 320;
   options.image_height = 240;
   options.min_raster_dim = 32;
