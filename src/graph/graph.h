@@ -11,17 +11,34 @@
 // containers anywhere — a neighborhood scan touches exactly one
 // contiguous cache-line run.
 //
-// Edges additionally carry dense ids in EdgeList order (ascending smaller
-// endpoint, then larger) with O(1) endpoint lookup — the id space every
-// edge-indexed consumer shares (TrussNumbers, EdgeScalarField,
-// graph/edge_index.h). The two m-sized endpoint arrays are derived from
-// the CSR structure at construction in one pass.
+// Two structures are derived from the CSR arrays on first use, each
+// built once per graph under std::call_once and shared by every copy of
+// the graph (a copy shares them with its source; a default-constructed
+// or moved-from graph answers with empty ones):
+//
+//  * The degree-order view (ByDegree): the vertices relabelled by
+//    descending degree, ties by ascending id, with a CSR over those
+//    positions. On a power-law graph most adjacency entries point at a
+//    few hubs, which this order packs into a few cache lines, so a peel
+//    or sweep that touches one random slot per entry (CoreNumbers,
+//    BuildVertexScalarTree) keeps its per-vertex state at view positions
+//    and misses far less. Results stay in caller ids.
+//  * The edge-endpoint arrays (EdgeSources/EdgeTargets): edges carry
+//    dense ids in EdgeList order (ascending smaller endpoint, then
+//    larger) — the id space every edge-indexed consumer shares
+//    (TrussNumbers, EdgeScalarField, graph/edge_index.h). Only edge-id
+//    consumers (K-Truss, the edge tree, correlation's lift, OpenOrd and
+//    SVG) read them, so vertex-field jobs never pay their 2m ids.
+//
+// Both builds read only the immutable CSR arrays, so their output does
+// not depend on which thread builds them.
 
 #ifndef GRAPHSCAPE_GRAPH_GRAPH_H_
 #define GRAPHSCAPE_GRAPH_GRAPH_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -65,14 +82,27 @@ class Graph {
     return std::binary_search(r.begin(), r.end(), v);
   }
 
-  /// Endpoints of edge `e` in EdgeList order, smaller endpoint first.
-  std::pair<VertexId, VertexId> EdgeEndpoints(EdgeId e) const {
-    return {edge_u_[e], edge_v_[e]};
-  }
+  /// The degree-order view: rank[v] is vertex v's position, by
+  /// descending degree, ties by ascending id. offsets/adjacency are a CSR
+  /// over positions whose runs list each vertex's neighbours as
+  /// positions, in the order of its caller-id run (so a run is not
+  /// sorted). Built on first use.
+  struct DegreeOrder {
+    std::vector<uint32_t> rank;       // n: vertex id -> position
+    std::vector<uint32_t> offsets;    // n + 1, over positions
+    std::vector<uint32_t> adjacency;  // 2m neighbour positions
+  };
+  const DegreeOrder& ByDegree() const;
 
-  /// Raw endpoint arrays (m each, edge_u_[e] < edge_v_[e]).
-  const std::vector<VertexId>& EdgeSources() const { return edge_u_; }
-  const std::vector<VertexId>& EdgeTargets() const { return edge_v_; }
+  /// Endpoints of edge `e` in EdgeList order, smaller endpoint first.
+  /// Each call passes the first-use gate; a loop over edges should read
+  /// EdgeSources()/EdgeTargets() once instead.
+  std::pair<VertexId, VertexId> EdgeEndpoints(EdgeId e) const;
+
+  /// Raw endpoint arrays (m each, sources[e] < targets[e]), built on
+  /// first use.
+  const std::vector<VertexId>& EdgeSources() const;
+  const std::vector<VertexId>& EdgeTargets() const;
 
   /// Raw CSR arrays, for kernels that index the structure directly.
   const std::vector<uint32_t>& Offsets() const { return offsets_; }
@@ -80,25 +110,15 @@ class Graph {
 
  private:
   friend class GraphBuilder;
-  Graph(std::vector<uint32_t> offsets, std::vector<VertexId> neighbors)
-      : offsets_(std::move(offsets)), neighbors_(std::move(neighbors)) {
-    edge_u_.resize(neighbors_.size() / 2);
-    edge_v_.resize(neighbors_.size() / 2);
-    EdgeId next = 0;
-    for (VertexId u = 0; u < NumVertices(); ++u) {
-      for (const VertexId v : Neighbors(u)) {
-        if (u < v) {
-          edge_u_[next] = u;
-          edge_v_[next] = v;
-          ++next;
-        }
-      }
-    }
-  }
+  Graph(std::vector<uint32_t> offsets, std::vector<VertexId> neighbors);
+
+  // The first-use structures and their once flags; null on a
+  // default-constructed or moved-from graph.
+  struct Derived;
 
   std::vector<uint32_t> offsets_;   // n + 1; offsets_[n] == neighbors_.size()
   std::vector<VertexId> neighbors_;  // 2m, each per-vertex run sorted
-  std::vector<VertexId> edge_u_, edge_v_;  // m: EdgeList-order endpoints
+  std::shared_ptr<Derived> derived_;
 };
 
 }  // namespace graphscape

@@ -39,8 +39,10 @@ CoarseLevel Coarsen(const Graph& g) {
   }
   GraphBuilder builder(next);
   builder.Reserve(static_cast<size_t>(g.NumEdges()));
+  const std::vector<VertexId>& sources = g.EdgeSources();
+  const std::vector<VertexId>& targets = g.EdgeTargets();
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    const auto [u, v] = g.EdgeEndpoints(e);
+    const VertexId u = sources[e], v = targets[e];
     builder.AddEdge(level.coarse_of[u], level.coarse_of[v]);
   }
   level.graph = builder.Build();  // drops the self-loops matching creates

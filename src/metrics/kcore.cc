@@ -9,15 +9,22 @@ namespace graphscape {
 
 std::vector<uint32_t> CoreNumbers(const Graph& g) {
   const uint32_t n = g.NumVertices();
-  // Degrees double as the live support array; after the peel core[v] is
-  // v's degree at the level it was peeled.
-  std::vector<uint32_t> core(n);
-  for (uint32_t v = 0; v < n; ++v) core[v] = g.Degree(v);
-  PeelByLevel(&core, [&g](uint32_t v, auto& demote) {
+  const Graph::DegreeOrder& view = g.ByDegree();
+  const uint32_t* const offsets = view.offsets.data();
+  const uint32_t* const adjacency = view.adjacency.data();
+  // The peel runs at view positions. Degrees double as the live support
+  // array; after the peel s[p] is p's degree at the level it was peeled.
+  std::vector<uint32_t> s(n);
+  for (uint32_t p = 0; p < n; ++p) s[p] = offsets[p + 1] - offsets[p];
+  PeelByLevel(&s, [offsets, adjacency](uint32_t p, auto& demote) {
     // Already-peeled neighbors sit at their (lower) peel level, so the
     // floor inside demote skips them.
-    for (const VertexId u : g.Neighbors(v)) demote(u);
+    for (uint32_t i = offsets[p]; i < offsets[p + 1]; ++i) {
+      demote(adjacency[i]);
+    }
   });
+  std::vector<uint32_t> core(n);
+  for (VertexId v = 0; v < n; ++v) core[v] = s[view.rank[v]];
   return core;
 }
 

@@ -193,8 +193,10 @@ VertexScalarField LiftEdgeFieldToVertices(const Graph& g,
                                           const EdgeScalarField& field) {
   assert(field.Size() == g.NumEdges());
   std::vector<double> values(g.NumVertices(), field.MinValue());
+  const std::vector<VertexId>& sources = g.EdgeSources();
+  const std::vector<VertexId>& targets = g.EdgeTargets();
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    const auto [u, v] = g.EdgeEndpoints(e);
+    const VertexId u = sources[e], v = targets[e];
     values[u] = std::max(values[u], field[e]);
     values[v] = std::max(values[v], field[e]);
   }

@@ -23,7 +23,12 @@
 // uses path-halving find with union by size over three pre-sized flat
 // uint32 arrays; tree nodes live in the parallel arrays below (a
 // struct-of-arrays arena) — no per-node heap allocation anywhere in the
-// loop.
+// loop. The sweep order keeps its caller-id ties, but each swept vertex
+// reads its run from the graph's degree-order view (Graph::ByDegree), and
+// union-find, heads and the swept bits live at view positions: hub
+// neighbours, which most entries point at, then share a few cache lines.
+// Order, parents and values are in caller ids, byte for byte what a
+// caller-id sweep gives.
 
 #ifndef GRAPHSCAPE_SCALAR_SCALAR_TREE_H_
 #define GRAPHSCAPE_SCALAR_SCALAR_TREE_H_

@@ -32,8 +32,10 @@ bool WriteNodeLinkSvg(const Graph& g, const Positions& positions,
 
   std::fprintf(f, "<g stroke=\"#9ca3af\" stroke-width=\"0.3\" "
                   "stroke-opacity=\"0.45\">\n");
+  const std::vector<VertexId>& sources = g.EdgeSources();
+  const std::vector<VertexId>& targets = g.EdgeTargets();
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    const auto [u, v] = g.EdgeEndpoints(e);
+    const VertexId u = sources[e], v = targets[e];
     std::fprintf(f,
                  "<line x1=\"%.1f\" y1=\"%.1f\" x2=\"%.1f\" y2=\"%.1f\"/>\n",
                  positions[u].x * size, positions[u].y * size,

@@ -6,7 +6,10 @@
 // independent of graph size — i.e., the sweep loops themselves never
 // allocate. A per-node or per-edge allocation would make the count scale
 // with n and fail these bounds immediately. Both the vertex sweep and
-// the edge sweep run under the same counting-operator-new harness.
+// the edge sweep run under the same counting-operator-new harness. The
+// graph's degree-order view and edge-endpoint arrays are built once per
+// graph on first use, not per call, so each count starts after
+// BuildGraphViews; GraphViewsBuildOncePerGraph checks that they are.
 
 #include <gtest/gtest.h>
 
@@ -64,6 +67,18 @@ void operator delete(void* p, const std::nothrow_t&) noexcept {
 namespace graphscape {
 namespace {
 
+void BuildGraphViews(const Graph& g) {
+  g.ByDegree();
+  g.EdgeSources();
+}
+
+template <typename Fn>
+uint64_t AllocationsDuring(const Fn& fn) {
+  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  fn();
+  return g_alloc_count.load(std::memory_order_relaxed) - before;
+}
+
 uint64_t AllocationsDuringBuild(uint32_t n) {
   Rng rng(42);
   const Graph g = BarabasiAlbert(n, 4, &rng);
@@ -71,6 +86,7 @@ uint64_t AllocationsDuringBuild(uint32_t n) {
   std::vector<double> values(g.NumVertices());
   for (auto& v : values) v = field_rng.UniformDouble();
   const VertexScalarField field("f", values);
+  BuildGraphViews(g);
 
   const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
   const ScalarTree tree = BuildVertexScalarTree(g, field);
@@ -120,6 +136,7 @@ uint64_t AllocationsDuringEdgeBuild(uint32_t n) {
   std::vector<double> values(static_cast<size_t>(g.NumEdges()));
   for (auto& v : values) v = field_rng.UniformDouble();
   const EdgeScalarField field("f", values);
+  BuildGraphViews(g);
 
   const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
   const ScalarTree tree = BuildEdgeScalarTree(g, field);
@@ -219,6 +236,7 @@ TEST(AllocationDisciplineTest, TriangleCountAllocationsConstantInGraphSize) {
 uint64_t AllocationsDuringTrussNumbers(uint32_t n) {
   Rng rng(42);
   const Graph g = BarabasiAlbert(n, 4, &rng);
+  BuildGraphViews(g);
   const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
   const std::vector<uint32_t> truss = TrussNumbers(g);
   const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
@@ -244,6 +262,7 @@ TEST(AllocationDisciplineTest, TrussNumbersAllocationsConstantInGraphSize) {
 uint64_t AllocationsDuringNucleus34(uint32_t n) {
   Rng rng(42);
   const Graph g = BarabasiAlbert(n, 4, &rng);
+  BuildGraphViews(g);
   const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
   const NucleusDecomposition d = Nucleus34(g);
   const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
@@ -274,6 +293,7 @@ TEST(AllocationDisciplineTest, NucleusAllocationsConstantInGraphSize) {
 uint64_t AllocationsDuringCoreNumbers(uint32_t n) {
   Rng rng(42);
   const Graph g = BarabasiAlbert(n, 4, &rng);
+  BuildGraphViews(g);
   const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
   const std::vector<uint32_t> core = CoreNumbers(g);
   const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
@@ -282,15 +302,42 @@ uint64_t AllocationsDuringCoreNumbers(uint32_t n) {
 }
 
 TEST(AllocationDisciplineTest, CoreNumbersAllocationsConstantInGraphSize) {
-  // CoreNumbers allocates three arrays up front (the degrees, which
-  // become the output, and the peel's live list and frontier) and
-  // nothing per level, vertex or demotion.
+  // CoreNumbers allocates four arrays (the degrees at view positions,
+  // which become the core numbers there; the peel's live list and
+  // frontier; and the output in vertex ids, filled from the first after
+  // the peel has freed the other two, so at most three are live at once)
+  // and nothing per level, vertex or demotion.
   const uint64_t small = AllocationsDuringCoreNumbers(1 << 8);
   const uint64_t large = AllocationsDuringCoreNumbers(1 << 14);
   EXPECT_EQ(small, large)
       << "allocation count scales with graph size - something allocates "
          "inside the peel";
-  EXPECT_LE(large, 3u);
+  EXPECT_LE(large, 4u);
+}
+
+TEST(AllocationDisciplineTest, GraphViewsBuildOncePerGraph) {
+  // The degree-order view and the edge-endpoint arrays are per graph: the
+  // first use builds them, a later call on the graph or on a copy of it
+  // allocates none of their arrays.
+  Rng rng(42);
+  const Graph g = BarabasiAlbert(1 << 10, 4, &rng);
+  const Graph copy = g;
+  const uint64_t first_core = AllocationsDuring([&g] { CoreNumbers(g); });
+  const uint64_t second_core = AllocationsDuring([&g] { CoreNumbers(g); });
+  EXPECT_GT(first_core, second_core);
+  EXPECT_EQ(second_core, AllocationsDuringCoreNumbers(1 << 10));
+  EXPECT_EQ(AllocationsDuring([&g] { g.ByDegree(); }), 0u);
+  EXPECT_EQ(AllocationsDuring([&copy] { copy.ByDegree(); }), 0u);
+  EXPECT_EQ(&copy.ByDegree(), &g.ByDegree());
+
+  EXPECT_GT(AllocationsDuring([&copy] { copy.EdgeTargets(); }), 0u);
+  const uint64_t edges_again = AllocationsDuring([&g] {
+    g.EdgeSources();
+    g.EdgeTargets();
+    g.EdgeEndpoints(0);
+  });
+  EXPECT_EQ(edges_again, 0u);
+  EXPECT_EQ(&copy.EdgeSources(), &g.EdgeSources());
 }
 
 uint64_t AllocationsDuringSpringRefine(uint32_t iterations) {

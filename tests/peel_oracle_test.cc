@@ -178,6 +178,21 @@ Graph Path(uint32_t n) {
   return builder.Build();
 }
 
+// Each vertex v becomes n - 1 - v: a star's hub, or a Barabasi-Albert
+// graph's oldest vertices, get the largest ids, so the graph's degree
+// order (Graph::ByDegree), which CoreNumbers peels in, runs against id
+// order.
+Graph Reversed(const Graph& g) {
+  const uint32_t n = g.NumVertices();
+  GraphBuilder builder(n);
+  for (VertexId v = 0; v < n; ++v) {
+    for (const VertexId u : g.Neighbors(v)) {
+      if (v < u) builder.AddEdge(n - 1 - v, n - 1 - u);
+    }
+  }
+  return builder.Build();
+}
+
 Graph Complete(uint32_t n) {
   GraphBuilder builder(n);
   std::vector<VertexId> members(n);
@@ -278,6 +293,7 @@ TEST(PeelOracleTest, StarsAndPaths) {
   for (const uint32_t size : {2u, 5u, 30u}) {
     SCOPED_TRACE(size);
     ExpectBothMatchOracles(Star(size));
+    ExpectBothMatchOracles(Reversed(Star(size)));  // the hub's id is last
     ExpectBothMatchOracles(Path(size));
   }
 }
@@ -311,6 +327,8 @@ TEST(PeelOracleTest, BarabasiAlbertGraphs) {
     Rng rng(seed);
     ExpectBothMatchOracles(BarabasiAlbert(40, 4, &rng));
     ExpectCoreMatchesOracle(BarabasiAlbert(300, 3, &rng));
+    ExpectBothMatchOracles(Reversed(BarabasiAlbert(40, 4, &rng)));
+    ExpectCoreMatchesOracle(Reversed(BarabasiAlbert(300, 3, &rng)));
   }
 }
 

@@ -38,6 +38,20 @@ Graph Star(uint32_t leaves) {
   return builder.Build();
 }
 
+// Each vertex v becomes n - 1 - v: a star's hub, or a Barabasi-Albert
+// graph's oldest vertices, get the largest ids, so the graph's degree
+// order (Graph::ByDegree) runs against id order.
+Graph Reversed(const Graph& g) {
+  const uint32_t n = g.NumVertices();
+  GraphBuilder builder(n);
+  for (VertexId v = 0; v < n; ++v) {
+    for (const VertexId u : g.Neighbors(v)) {
+      if (v < u) builder.AddEdge(n - 1 - v, n - 1 - u);
+    }
+  }
+  return builder.Build();
+}
+
 TEST(ScalarTreeTest, MonotonePathIsAChain) {
   const Graph g = Path(5);
   const VertexScalarField field("f", {1.0, 2.0, 3.0, 4.0, 5.0});
@@ -306,7 +320,11 @@ TEST(ScalarTreeTest, SweptBitmapMatchesRankOracle) {
   for (const uint32_t n : {1u, 63u, 64u, 65u, 129u, 400u}) {
     Rng rng(n);
     std::vector<std::pair<std::string, Graph>> graphs;
-    if (n > 3) graphs.emplace_back("BA", BarabasiAlbert(n, 3, &rng));
+    if (n > 3) {
+      graphs.emplace_back("BA", BarabasiAlbert(n, 3, &rng));
+      graphs.emplace_back("reversed BA",
+                          Reversed(BarabasiAlbert(n, 3, &rng)));
+    }
     graphs.emplace_back("ER", ErdosRenyi(n, std::min(1.0, 4.0 / n), &rng));
     graphs.emplace_back("disconnected", DisconnectedWithIsolated(n, &rng));
     for (const auto& [name, g] : graphs) {
@@ -339,6 +357,11 @@ TEST(ScalarTreeTest, SweptBitmapMatchesRankOracle) {
   for (double& v : star_plateau) v = static_cast<double>(rng.UniformInt(3));
   ExpectSweepMatchesRankOracle(Star(64), star_distinct, "star distinct");
   ExpectSweepMatchesRankOracle(Star(64), star_plateau, "star plateau");
+  const Graph last_hub = Reversed(Star(64));  // the hub is vertex 64
+  ExpectSweepMatchesRankOracle(last_hub, star_distinct, "last-hub distinct");
+  ExpectSweepMatchesRankOracle(last_hub, star_plateau, "last-hub plateau");
+  ExpectSweepMatchesRankOracle(last_hub, std::vector<double>(65, 1.0),
+                               "last-hub constant");
   ExpectSweepMatchesRankOracle(GraphBuilder(0).Build(), {}, "empty graph");
   ExpectSweepMatchesRankOracle(Path(3), {1.0, 3.0, 2.0}, "3-vertex path");
 }
