@@ -1,15 +1,13 @@
 // Copyright 2026 The GraphScape Authors.
 // Licensed under the Apache License, Version 2.0.
 //
-// Tiny string helpers the figure/table benches lean on: printf-style
-// formatting into std::string, and human-readable durations for the
-// construction-time tables (Table II's tc/te/tv columns).
+// printf-style formatting into std::string — the one string helper the
+// service replies, error messages and table benches lean on.
 
 #ifndef GRAPHSCAPE_COMMON_STRING_UTIL_H_
 #define GRAPHSCAPE_COMMON_STRING_UTIL_H_
 
 #include <cstdarg>
-#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -41,29 +39,6 @@ inline std::string StrPrintf(const char* format, ...) {
   std::vsnprintf(&result[0], result.size() + 1, format, args_copy);
   va_end(args_copy);
   return result;
-}
-
-/// Renders a duration at the precision a human reading a results table
-/// wants: "1h02m", "2m03s", "3.45s", "12.30ms", "45.60us", "789ns".
-/// Non-positive durations render as "0s".
-inline std::string HumanSeconds(double seconds) {
-  if (seconds <= 0.0) return "0s";
-  if (seconds >= 3600.0) {
-    const uint64_t minutes = static_cast<uint64_t>(seconds / 60.0);
-    return StrPrintf("%lluh%02llum",
-                     static_cast<unsigned long long>(minutes / 60),
-                     static_cast<unsigned long long>(minutes % 60));
-  }
-  if (seconds >= 60.0) {
-    const uint64_t whole = static_cast<uint64_t>(seconds);
-    return StrPrintf("%llum%02llus",
-                     static_cast<unsigned long long>(whole / 60),
-                     static_cast<unsigned long long>(whole % 60));
-  }
-  if (seconds >= 1.0) return StrPrintf("%.2fs", seconds);
-  if (seconds >= 1e-3) return StrPrintf("%.2fms", seconds * 1e3);
-  if (seconds >= 1e-6) return StrPrintf("%.2fus", seconds * 1e6);
-  return StrPrintf("%.0fns", seconds * 1e9);
 }
 
 }  // namespace graphscape

@@ -7,8 +7,6 @@
 #include <cmath>
 #include <string>
 
-#include "common/parallel.h"
-
 namespace graphscape {
 namespace {
 
@@ -17,8 +15,7 @@ namespace {
 constexpr double kMinDot = 0.05;
 
 /// Stateless splitmix64-style mix of (seed, v, c) -> [0, 1). Hash-based
-/// rather than stream-order so init is a pure function of the vertex id
-/// — the property the Jacobi pass needs to stay thread-count invariant.
+/// rather than stream-order so init is a pure function of the vertex id.
 double Jitter(uint64_t seed, uint64_t v, uint64_t c) {
   uint64_t x = seed ^ (v * 0x9E3779B97F4A7C15ull) ^
                ((c + 1) * 0xBF58476D1CE4E5B9ull);
@@ -107,17 +104,15 @@ BigClamAffiliations BigClamFit(const Graph& g, const BigClamOptions& options) {
     if (owner[v] != kInvalidVertex) row[owner[v]] += dist[v] == 0 ? 1.0 : 0.6;
   }
 
-  // Jacobi batch ascent: next[u] is a pure function of `current`, so the
-  // ParallelFor is bit-identical for every thread count. All buffers are
-  // preallocated — the loop below performs no heap allocation.
+  // Jacobi batch ascent: next[u] is a pure function of `current`. All
+  // buffers are preallocated — the loop below performs no heap allocation.
   std::vector<double> next(current.size(), 0.0);
-  const ParallelOptions parallel{options.num_threads, /*grain=*/256};
   for (uint32_t iter = 0; iter < options.iterations; ++iter) {
-    ParallelFor(0, n, parallel, [&](uint64_t u) {
-      const double* fu = &current[u * k];
-      double* out = &next[u * k];
+    for (VertexId u = 0; u < n; ++u) {
+      const double* fu = &current[static_cast<size_t>(u) * k];
+      double* out = &next[static_cast<size_t>(u) * k];
       for (uint32_t c = 0; c < k; ++c) out[c] = -options.lambda;
-      for (const VertexId v : g.Neighbors(static_cast<VertexId>(u))) {
+      for (const VertexId v : g.Neighbors(u)) {
         const double* fv = &current[static_cast<size_t>(v) * k];
         double d = 0.0;
         for (uint32_t c = 0; c < k; ++c) d += fu[c] * fv[c];
@@ -132,7 +127,7 @@ BigClamAffiliations BigClamFit(const Graph& g, const BigClamOptions& options) {
         if (f > options.max_factor) f = options.max_factor;
         out[c] = f;
       }
-    });
+    }
     current.swap(next);
   }
   result.factors = std::move(current);
@@ -152,24 +147,6 @@ VertexScalarField CommunityScoreField(const BigClamAffiliations& affiliations,
     for (double& value : values) value /= max;
   return VertexScalarField("bigclam" + std::to_string(community),
                            std::move(values));
-}
-
-VertexScalarField MaxMembershipField(const BigClamAffiliations& affiliations) {
-  const uint32_t n = affiliations.num_vertices;
-  const uint32_t k = affiliations.num_communities;
-  // Column maxima first so every community is on the same [0, 1] scale.
-  std::vector<double> column_max(k, 0.0);
-  for (VertexId v = 0; v < n; ++v)
-    for (uint32_t c = 0; c < k; ++c)
-      column_max[c] = std::max(column_max[c], affiliations.At(v, c));
-  std::vector<double> values(n, 0.0);
-  for (VertexId v = 0; v < n; ++v) {
-    for (uint32_t c = 0; c < k; ++c) {
-      if (column_max[c] > 0.0)
-        values[v] = std::max(values[v], affiliations.At(v, c) / column_max[c]);
-    }
-  }
-  return VertexScalarField("bigclam_max", std::move(values));
 }
 
 }  // namespace graphscape

@@ -5,14 +5,13 @@
 // nonnegative factorization of the adjacency structure under the model
 // P(u ~ v) = 1 - exp(-F_u . F_v). The fit is a fixed budget of Jacobi
 // batch projected-gradient steps: every iteration computes the NEW factor
-// row of each vertex purely from the OLD factor matrix, so the per-vertex
-// pass parallelizes over common/parallel.h with bit-identical results for
-// every thread count. Symmetry is broken deterministically by
-// farthest-point BFS seeding plus a hash-based jitter — no stream-order
-// randomness anywhere, so the fit is a pure function of (graph, options).
+// row of each vertex purely from the OLD factor matrix. Symmetry is broken
+// deterministically by farthest-point BFS seeding plus a hash-based
+// jitter — no stream-order randomness anywhere, so the fit is a pure
+// function of (graph, options).
 //
 // The iteration loop is allocation-free in steady state: two factor
-// buffers are preallocated and swapped (tests/community_test.cc pins the
+// buffers are preallocated and swapped (tests/allocation_test.cc pins the
 // allocation count).
 
 #ifndef GRAPHSCAPE_COMMUNITY_BIGCLAM_H_
@@ -40,9 +39,6 @@ struct BigClamOptions {
   double lambda = 0.05;
   /// Seeds the jitter hash; the BFS seeding itself is seed-free.
   uint64_t seed = 14;
-  /// Lanes for the per-vertex update pass (0 = DefaultThreads(),
-  /// 1 = sequential). Bit-identical either way.
-  uint32_t num_threads = 0;
 };
 
 /// Row-major nonnegative factor matrix F (num_vertices x num_communities).
@@ -56,7 +52,7 @@ struct BigClamAffiliations {
   }
 };
 
-/// Deterministic in (g, options); identical for every num_threads.
+/// Deterministic in (g, options).
 BigClamAffiliations BigClamFit(const Graph& g,
                                const BigClamOptions& options = {});
 
@@ -64,10 +60,6 @@ BigClamAffiliations BigClamFit(const Graph& g,
 /// all-zero column stays zero). Named "bigclam<c>".
 VertexScalarField CommunityScoreField(const BigClamAffiliations& affiliations,
                                       uint32_t community);
-
-/// Per-vertex max over all normalized columns — the "strongest
-/// affiliation anywhere" terrain height. Named "bigclam_max".
-VertexScalarField MaxMembershipField(const BigClamAffiliations& affiliations);
 
 }  // namespace graphscape
 

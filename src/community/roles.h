@@ -3,25 +3,11 @@
 //
 // Structural roles (paper §III-B, Fig. 9 / Table III): which part a vertex
 // plays inside its community — the paper's hub / dense-band / periphery /
-// whisker reading of the Amazon co-purchase terrain. Two layers:
-//
-//  * RecursiveFeatures — ReFeX-style recursive structural features: a base
-//    block of local measures (degree, triangle count, clustering, egonet
-//    internal/boundary edges) recursively widened by mean- and
-//    sum-aggregation over neighbors to a fixed depth. Every aggregation
-//    level is a pure function of the previous matrix, so the parallel
-//    pass is bit-identical for every thread count (common/parallel.h).
-//
-//  * FitRoleMemberships — RolX-style soft role discovery: seeded
-//    k-means++ over the z-scored feature rows, fixed iteration budget,
-//    clusters relabeled by descending mean degree so role ids are stable
-//    across runs. Each role yields a per-vertex membership field in
-//    [0, 1] — scalar fields the terrain pipeline renders directly.
-//
-// ClassifyRoles maps community members onto the paper's four named roles
-// with deterministic structural thresholds (degree vs. community mean,
-// core number within the community) — the semantic layer Fig. 9 colors
-// by and RoleAccuracy scores against planted ground truth.
+// whisker reading of the Amazon co-purchase terrain. ClassifyRoles maps
+// community members onto those four roles with deterministic structural
+// thresholds (degree vs. community mean, core number within the
+// community); Fig. 9 colors the community-score terrain by them and
+// RoleAccuracy scores them against planted ground truth.
 
 #ifndef GRAPHSCAPE_COMMUNITY_ROLES_H_
 #define GRAPHSCAPE_COMMUNITY_ROLES_H_
@@ -31,7 +17,6 @@
 
 #include "community/vertex_role.h"
 #include "graph/graph.h"
-#include "scalar/scalar_field.h"
 #include "terrain/render.h"
 
 namespace graphscape {
@@ -39,78 +24,14 @@ namespace graphscape {
 /// The Fig. 9 color scheme: green / blue / red / yellow / gray.
 Rgb RoleColor(VertexRole role);
 
-struct RoleFeatureOptions {
-  /// Recursive aggregation depth: every level appends mean and sum
-  /// neighbor aggregates of all current features, so the feature count is
-  /// kBaseFeatures * 3^depth.
-  uint32_t depth = 2;
-  /// Lanes for the per-level aggregation passes (common/parallel.h);
-  /// 0 = DefaultThreads(), 1 = sequential. Bit-identical either way.
-  uint32_t num_threads = 0;
-};
-
-/// The base block: degree, triangles, clustering coefficient, egonet
-/// internal edges, egonet boundary edges.
-inline constexpr uint32_t kBaseRoleFeatures = 5;
-
-/// Row-major per-vertex feature matrix.
-struct RoleFeatureMatrix {
-  uint32_t num_vertices = 0;
-  uint32_t num_features = 0;
-  std::vector<double> values;  ///< num_vertices x num_features
-
-  double At(VertexId v, uint32_t feature) const {
-    return values[static_cast<size_t>(v) * num_features + feature];
-  }
-};
-
-/// ReFeX-style recursive features. Deterministic in (g, options.depth);
-/// identical for every num_threads.
-RoleFeatureMatrix RecursiveFeatures(const Graph& g,
-                                    const RoleFeatureOptions& options = {});
-
-struct RoleOptions {
-  RoleFeatureOptions features;
-  /// Soft role count for FitRoleMemberships (RolX's model-selection step
-  /// replaced by a fixed budget; 4 matches the paper's reading).
-  uint32_t num_roles = 4;
-  uint32_t kmeans_iterations = 20;
-  /// Seeds the k-means++ center choices.
-  uint64_t seed = 19;
-  /// ClassifyRoles: hub iff community degree >= factor * community mean.
-  double hub_degree_factor = 3.5;
-  /// ClassifyRoles: dense iff community core number >= fraction * max.
-  double dense_core_fraction = 0.55;
-};
-
-/// Soft role memberships from seeded k-means over RecursiveFeatures.
-struct RoleMemberships {
-  uint32_t num_roles = 0;
-  /// fields[r][v] in [0, 1]: 1 on vertices assigned to role r, decaying
-  /// with relative feature-space distance elsewhere. Each inner vector is
-  /// a ready VertexScalarField column.
-  std::vector<std::vector<double>> fields;
-  /// Hard assignment: argmax membership (== nearest center).
-  std::vector<uint32_t> role_of;
-};
-
-/// Deterministic in (g, options); roles ordered by descending mean
-/// degree of their members, so role 0 is always the hubbiest cluster.
-RoleMemberships FitRoleMemberships(const Graph& g,
-                                   const RoleOptions& options = {});
-
-/// Membership field for one role, named "role<r>_membership".
-VertexScalarField RoleMembershipField(const RoleMemberships& memberships,
-                                      uint32_t role);
-
 /// Names the part each community member plays; vertices outside
-/// `community` map to kBackground. Thresholds (RoleOptions) are applied
-/// to the subgraph induced by `community`: whiskers are its core-1
-/// fringe, hubs its extreme-degree vertices, the dense band its deep
-/// cores, periphery the rest.
+/// `community` map to kBackground. The thresholds apply to the subgraph
+/// induced by `community`: whiskers are its core-1 fringe, hubs its
+/// extreme-degree vertices (degree >= 3.5x the community mean), the dense
+/// band its deep cores (core number >= 0.55x the community max),
+/// periphery the rest.
 std::vector<VertexRole> ClassifyRoles(const Graph& g,
-                                      const std::vector<VertexId>& community,
-                                      const RoleOptions& options = {});
+                                      const std::vector<VertexId>& community);
 
 /// Fraction of vertices planted as non-background whose predicted role
 /// matches. 1.0 when there are no such vertices.

@@ -6,16 +6,22 @@
 #include "graph/graph_builder.h"
 
 namespace graphscape {
+namespace {
+
+/// Marks a vertex no BFS has reached yet.
+constexpr uint32_t kUnreached = 0xffffffffu;
+
+}  // namespace
 
 ComponentLabeling ConnectedComponents(const Graph& g) {
   const uint32_t n = g.NumVertices();
   ComponentLabeling result;
-  result.component.assign(n, kUnreachable);
+  result.component.assign(n, kUnreached);
 
   std::vector<VertexId> queue;
   queue.reserve(n);
   for (VertexId start = 0; start < n; ++start) {
-    if (result.component[start] != kUnreachable) continue;
+    if (result.component[start] != kUnreached) continue;
     const uint32_t label = result.num_components++;
     result.component[start] = label;
     queue.clear();
@@ -23,7 +29,7 @@ ComponentLabeling ConnectedComponents(const Graph& g) {
     // The queue never pops; `cursor` walks it in place.
     for (size_t cursor = 0; cursor < queue.size(); ++cursor) {
       for (const VertexId u : g.Neighbors(queue[cursor])) {
-        if (result.component[u] != kUnreachable) continue;
+        if (result.component[u] != kUnreached) continue;
         result.component[u] = label;
         queue.push_back(u);
       }
@@ -32,35 +38,9 @@ ComponentLabeling ConnectedComponents(const Graph& g) {
   return result;
 }
 
-std::vector<uint32_t> BfsDistances(const Graph& g, VertexId source) {
-  const uint32_t n = g.NumVertices();
-  std::vector<uint32_t> distance(n, kUnreachable);
-  distance[source] = 0;
-  std::vector<VertexId> queue;
-  queue.reserve(n);
-  queue.push_back(source);
-  for (size_t cursor = 0; cursor < queue.size(); ++cursor) {
-    const VertexId v = queue[cursor];
-    for (const VertexId u : g.Neighbors(v)) {
-      if (distance[u] != kUnreachable) continue;
-      distance[u] = distance[v] + 1;
-      queue.push_back(u);
-    }
-  }
-  return distance;
-}
-
-uint32_t Eccentricity(const Graph& g, VertexId source) {
-  uint32_t ecc = 0;
-  for (const uint32_t d : BfsDistances(g, source)) {
-    if (d != kUnreachable && d > ecc) ecc = d;
-  }
-  return ecc;
-}
-
 std::vector<VertexId> KHopNeighborhood(const Graph& g, VertexId center,
                                        uint32_t hops) {
-  std::vector<uint32_t> distance(g.NumVertices(), kUnreachable);
+  std::vector<uint32_t> distance(g.NumVertices(), kUnreached);
   distance[center] = 0;
   std::vector<VertexId> frontier;
   frontier.push_back(center);
@@ -68,7 +48,7 @@ std::vector<VertexId> KHopNeighborhood(const Graph& g, VertexId center,
     const VertexId v = frontier[cursor];
     if (distance[v] == hops) continue;
     for (const VertexId u : g.Neighbors(v)) {
-      if (distance[u] != kUnreachable) continue;
+      if (distance[u] != kUnreached) continue;
       distance[u] = distance[v] + 1;
       frontier.push_back(u);
     }

@@ -1,12 +1,12 @@
 // Copyright 2026 The GraphScape Authors.
 // Licensed under the Apache License, Version 2.0.
 //
-// Traversal primitives over the CSR graph: connected components, BFS
-// distances/eccentricity, k-hop neighborhoods, and induced subgraph
-// extraction. These back the figure benches (component counts in fig11,
-// the outlier drill-downs in fig10) and serve as oracles for the
-// scalar-tree property tests — a scalar tree has exactly one root per
-// connected component.
+// Traversal primitives over the CSR graph: connected components, k-hop
+// neighborhoods, and induced subgraph extraction. These back the figure
+// benches (component counts in fig11, the outlier drill-downs in fig10,
+// the per-community subgraphs ClassifyRoles reads) and serve as oracles
+// for the scalar-tree property tests — a scalar tree has exactly one root
+// per connected component.
 
 #ifndef GRAPHSCAPE_GRAPH_GRAPH_ALGOS_H_
 #define GRAPHSCAPE_GRAPH_GRAPH_ALGOS_H_
@@ -17,9 +17,6 @@
 #include "graph/graph.h"
 
 namespace graphscape {
-
-/// Distance marker for vertices outside the BFS source's component.
-inline constexpr uint32_t kUnreachable = 0xffffffffu;
 
 struct ComponentLabeling {
   /// component[v] in [0, num_components); ids are dense, assigned in
@@ -32,12 +29,6 @@ struct ComponentLabeling {
 
 /// Single BFS pass over all vertices; O(n + m).
 ComponentLabeling ConnectedComponents(const Graph& g);
-
-/// BFS hop counts from `source`; kUnreachable outside its component.
-std::vector<uint32_t> BfsDistances(const Graph& g, VertexId source);
-
-/// Max finite BFS distance from `source` (0 for an isolated vertex).
-uint32_t Eccentricity(const Graph& g, VertexId source);
 
 /// Vertices within `hops` of `center` in BFS discovery order, `center`
 /// first — callers that highlight the center rely on it being index 0.

@@ -35,15 +35,4 @@ double AverageClusteringCoefficient(const Graph& g) {
   return std::accumulate(cc.begin(), cc.end(), 0.0) / n;
 }
 
-double GlobalClusteringCoefficient(const Graph& g) {
-  uint64_t wedges = 0;
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    const uint64_t d = g.Degree(v);
-    if (d >= 2) wedges += d * (d - 1) / 2;
-  }
-  if (wedges == 0) return 0.0;
-  return 3.0 * static_cast<double>(CountTriangles(g)) /
-         static_cast<double>(wedges);
-}
-
 }  // namespace graphscape

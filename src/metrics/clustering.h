@@ -27,11 +27,6 @@ std::vector<double> LocalClusteringCoefficients(const Graph& g);
 /// folded left to right over v.
 double AverageClusteringCoefficient(const Graph& g);
 
-/// Transitivity: 3·(#triangles) / (#wedges). Not the same statistic as
-/// the average local coefficient — hub-heavy graphs typically score much
-/// lower here. 0 if the graph has no wedges.
-double GlobalClusteringCoefficient(const Graph& g);
-
 }  // namespace graphscape
 
 #endif  // GRAPHSCAPE_METRICS_CLUSTERING_H_

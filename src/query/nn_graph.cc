@@ -6,7 +6,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "common/parallel.h"
 #include "graph/graph_builder.h"
 
 namespace graphscape {
@@ -46,19 +45,17 @@ Graph BuildNnGraph(const Table& table, const NnGraphOptions& options) {
 
   // Exact per-row selection into preallocated (distance, id) slots —
   // bounded insertion sort ordered by (distance asc, id asc), so the
-  // nominee lists are unique and the parallel pass writes disjoint rows.
+  // nominee lists are unique.
   const uint32_t k = std::min(options.max_neighbors, n - 1);
   const double threshold_sq =
       options.distance_threshold * options.distance_threshold;
   std::vector<VertexId> nominee(static_cast<size_t>(n) * k, kInvalidVertex);
   std::vector<double> nominee_dist(static_cast<size_t>(n) * k, 0.0);
-  const ParallelOptions parallel{options.num_threads, /*grain=*/64};
-  ParallelFor(0, n, parallel, [&](uint64_t u) {
-    if (k == 0) return;
-    VertexId* ids = &nominee[u * k];
-    double* dists = &nominee_dist[u * k];
+  for (uint32_t u = 0; k > 0 && u < n; ++u) {
+    VertexId* ids = &nominee[static_cast<size_t>(u) * k];
+    double* dists = &nominee_dist[static_cast<size_t>(u) * k];
     uint32_t filled = 0;
-    const double* pu = &points[u * d];
+    const double* pu = &points[static_cast<size_t>(u) * d];
     for (uint32_t v = 0; v < n; ++v) {
       if (v == u) continue;
       const double* pv = &points[static_cast<size_t>(v) * d];
@@ -79,7 +76,7 @@ Graph BuildNnGraph(const Table& table, const NnGraphOptions& options) {
       ids[slot] = v;
       if (filled < k) ++filled;
     }
-  });
+  }
 
   // Union of nominations; GraphBuilder dedups the mutual pairs.
   for (uint32_t u = 0; u < n; ++u)

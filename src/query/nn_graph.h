@@ -33,12 +33,9 @@ struct NnGraphOptions {
   /// Drop candidate neighbors farther than this (post-normalization
   /// units when `normalize`). A NaN distance never qualifies.
   double distance_threshold = std::numeric_limits<double>::infinity();
-  /// Lanes for the per-row selection pass (common/parallel.h);
-  /// bit-identical for every value.
-  uint32_t num_threads = 0;
 };
 
-/// Deterministic in (table, options); identical for every num_threads.
+/// Deterministic in (table, options).
 /// The per-row candidate scan is exact (all pairs), O(rows^2 * columns).
 Graph BuildNnGraph(const Table& table, const NnGraphOptions& options = {});
 

@@ -3,8 +3,6 @@
 
 #include "query/table.h"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -36,78 +34,6 @@ uint32_t Table::FindColumn(const std::string& name) const {
   for (uint32_t c = 0; c < column_names_.size(); ++c)
     if (column_names_[c] == name) return c;
   return kNoColumn;
-}
-
-namespace {
-
-bool Passes(double cell, FilterOp op, double value) {
-  switch (op) {
-    case FilterOp::kLess:
-      return cell < value;
-    case FilterOp::kLessEqual:
-      return cell <= value;
-    case FilterOp::kGreater:
-      return cell > value;
-    case FilterOp::kGreaterEqual:
-      return cell >= value;
-    case FilterOp::kEqual:
-      return cell == value;
-    case FilterOp::kNotEqual:
-      return !std::isnan(cell) && cell != value;
-  }
-  return false;
-}
-
-/// Three-way key compare with NaN pinned after every number in either
-/// direction. Returns <0, 0, >0.
-int CompareCells(double a, double b, bool ascending) {
-  const bool na = std::isnan(a), nb = std::isnan(b);
-  if (na || nb) return na == nb ? 0 : (na ? 1 : -1);
-  if (a == b) return 0;
-  return (a < b) == ascending ? -1 : 1;
-}
-
-}  // namespace
-
-std::vector<uint32_t> FilterRows(const Table& table,
-                                 const std::vector<Filter>& filters) {
-  std::vector<uint32_t> rows;
-  for (size_t row = 0; row < table.NumRows(); ++row) {
-    bool pass = true;
-    for (const Filter& filter : filters) {
-      if (!Passes(table.Value(row, filter.column), filter.op, filter.value)) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) rows.push_back(static_cast<uint32_t>(row));
-  }
-  return rows;
-}
-
-std::vector<uint32_t> SortRows(const Table& table,
-                               const std::vector<SortKey>& keys) {
-  std::vector<uint32_t> rows(table.NumRows());
-  for (size_t row = 0; row < rows.size(); ++row)
-    rows[row] = static_cast<uint32_t>(row);
-  std::sort(rows.begin(), rows.end(), [&](uint32_t a, uint32_t b) {
-    for (const SortKey& key : keys) {
-      const int cmp = CompareCells(table.Value(a, key.column),
-                                   table.Value(b, key.column), key.ascending);
-      if (cmp != 0) return cmp < 0;
-    }
-    return a < b;
-  });
-  return rows;
-}
-
-std::vector<uint32_t> TopK(const Table& table, uint32_t column, uint32_t k,
-                           bool largest) {
-  std::vector<uint32_t> rows = SortRows(table, {{column, !largest}});
-  while (!rows.empty() && std::isnan(table.Value(rows.back(), column)))
-    rows.pop_back();
-  if (rows.size() > k) rows.resize(k);
-  return rows;
 }
 
 VertexScalarField ColumnAsField(const Table& table, uint32_t column) {

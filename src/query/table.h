@@ -6,12 +6,6 @@
 // optional string label per row. Rows double as vertex ids of the
 // similarity graph query/nn_graph.h builds, which is what lets a query
 // result flow into the terrain pipeline unchanged.
-//
-// Filter / sort / top-k are the paper's query-refinement verbs. All three
-// are fully deterministic, NaN included: a NaN cell fails every filter
-// comparison (IEEE semantics) and sorts after every non-NaN value
-// regardless of direction, and every tie — NaN or not — breaks by
-// ascending row id.
 
 #ifndef GRAPHSCAPE_QUERY_TABLE_H_
 #define GRAPHSCAPE_QUERY_TABLE_H_
@@ -72,42 +66,6 @@ class Table {
   std::vector<std::string> labels_;
   std::string empty_label_;
 };
-
-enum class FilterOp : uint8_t {
-  kLess,
-  kLessEqual,
-  kGreater,
-  kGreaterEqual,
-  kEqual,
-  kNotEqual
-};
-
-struct Filter {
-  uint32_t column = 0;
-  FilterOp op = FilterOp::kLess;
-  double value = 0.0;
-};
-
-/// Row ids passing ALL filters (conjunction), in ascending row order.
-/// A row with NaN in a filtered column never passes (even kNotEqual —
-/// "unknown" is not a match).
-std::vector<uint32_t> FilterRows(const Table& table,
-                                 const std::vector<Filter>& filters);
-
-struct SortKey {
-  uint32_t column = 0;
-  bool ascending = true;
-};
-
-/// Row ids ordered by the keys lexicographically; NaN sorts after every
-/// number under either direction, final ties break by ascending row id.
-std::vector<uint32_t> SortRows(const Table& table,
-                               const std::vector<SortKey>& keys);
-
-/// The first k rows of SortRows on one column (descending when
-/// `largest`); NaN rows are excluded entirely.
-std::vector<uint32_t> TopK(const Table& table, uint32_t column, uint32_t k,
-                           bool largest = true);
 
 /// One column as a vertex scalar field (row id == vertex id), named
 /// after the column. Throws if the column holds NaN — scalar fields are

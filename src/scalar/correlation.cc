@@ -184,23 +184,10 @@ double TopPeakJaccard(const SuperTree& a, const SuperTree& b, uint32_t k) {
         "TopPeakJaccard: trees contract different element spaces (" +
         std::to_string(a.NumElements()) + " vs " +
         std::to_string(b.NumElements()) +
-        "); lift edge fields to vertices first");
+        "); compare vertex fields with vertex fields, edge fields with "
+        "edge fields");
   }
   return SortedJaccard(TopPeakMembers(a, k), TopPeakMembers(b, k));
-}
-
-VertexScalarField LiftEdgeFieldToVertices(const Graph& g,
-                                          const EdgeScalarField& field) {
-  assert(field.Size() == g.NumEdges());
-  std::vector<double> values(g.NumVertices(), field.MinValue());
-  const std::vector<VertexId>& sources = g.EdgeSources();
-  const std::vector<VertexId>& targets = g.EdgeTargets();
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    const VertexId u = sources[e], v = targets[e];
-    values[u] = std::max(values[u], field[e]);
-    values[v] = std::max(values[v], field[e]);
-  }
-  return VertexScalarField("lift(" + field.Name() + ")", std::move(values));
 }
 
 }  // namespace graphscape

@@ -5,8 +5,7 @@
 // fields rank the same graph? Three complementary lenses:
 //
 //  * Global, value-space: Pearson / Spearman over the shared element
-//    support (every vertex, or every edge — or an edge field lifted to
-//    vertices for KC-vs-KT style pairs).
+//    support (every vertex, or every edge).
 //  * Local, neighborhood-space: the Local Correlation Index LCI(v) —
 //    Pearson over the closed neighborhood {v} ∪ N(v) — and its mean, the
 //    Graph Correlation Index GCI (the paper's 0.89 for degree vs
@@ -29,7 +28,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "scalar/edge_scalar_tree.h"
 #include "scalar/scalar_field.h"
 #include "scalar/super_tree.h"
 
@@ -77,17 +75,11 @@ double SortedJaccard(const std::vector<uint32_t>& a,
                      const std::vector<uint32_t>& b);
 
 /// SortedJaccard of the two trees' TopPeakMembers(k). Both trees must
-/// contract the same element space (same NumElements()) — comparing a
-/// vertex tree against an edge tree requires LiftEdgeFieldToVertices
-/// first, and a mismatch throws std::invalid_argument in every build
-/// type (the ids would name elements of different spaces).
+/// contract the same element space (same NumElements()): a vertex tree
+/// compares only with a vertex tree of the same graph, an edge tree only
+/// with an edge tree. A mismatch throws std::invalid_argument in every
+/// build type (the ids would name elements of different spaces).
 double TopPeakJaccard(const SuperTree& a, const SuperTree& b, uint32_t k);
-
-/// Lifts an edge field to vertices by taking each vertex's maximum
-/// incident value (edge-free vertices take the field minimum), giving
-/// KC-vs-KT pairs a shared vertex support.
-VertexScalarField LiftEdgeFieldToVertices(const Graph& g,
-                                          const EdgeScalarField& field);
 
 }  // namespace graphscape
 

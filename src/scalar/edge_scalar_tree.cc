@@ -9,7 +9,6 @@
 #include "common/string_util.h"
 #include "graph/edge_index.h"
 #include "graph/graph_builder.h"
-#include "metrics/ktruss.h"
 #include "metrics/nucleus.h"
 #include "scalar/tree_core.h"
 
@@ -115,10 +114,6 @@ StatusOr<ScalarTree> BuildEdgeScalarTreeNaive(const Graph& g,
   const Graph line_graph = builder.Build();
   return BuildVertexScalarTree(
       line_graph, VertexScalarField(field.Name(), field.Values()));
-}
-
-EdgeScalarField TrussnessEdgeField(const Graph& g) {
-  return EdgeScalarField::FromCounts("trussness", TrussNumbers(g));
 }
 
 EdgeScalarField NucleusEdgeField(const Graph& g) {

@@ -74,10 +74,9 @@ StatusOr<ScalarTree> BuildEdgeScalarTreeNaive(
     const Graph& g, const EdgeScalarField& field,
     uint64_t max_line_edges = 1ull << 28);
 
-// ---- Field producers: the paper's real edge fields (§III, Fig. 7). ----
-
-/// K-Truss trussness as an edge field (values >= 2).
-EdgeScalarField TrussnessEdgeField(const Graph& g);
+// ---- Field producer: the paper's (3,4)-nucleus edge field (§III). ----
+// (The K-Truss edge field is EdgeScalarField::FromCounts("KT",
+// TrussNumbers(g)), built inline by its callers.)
 
 /// (3,4)-nucleus values lifted to edges: each edge takes the maximum
 /// nucleus number over the triangles containing it (0 if triangle-free).

@@ -279,12 +279,6 @@ Status SaveTreeArtifact(const TreeArtifact& artifact,
   return WriteFileBytesAtomic(path, bytes.value());
 }
 
-StatusOr<TreeArtifact> LoadTreeArtifact(const std::string& path) {
-  StatusOr<std::string> bytes = ReadFileBytes(path);
-  if (!bytes.ok()) return bytes.status();
-  return DeserializeTreeArtifact(bytes.value());
-}
-
 uint64_t Fnv1aChecksum(const std::string& bytes) {
   return Fnv1a(bytes.data(), bytes.size());
 }

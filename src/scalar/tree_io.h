@@ -65,17 +65,16 @@ StatusOr<std::string> SerializeTreeArtifact(const TreeArtifact& artifact);
 /// cache's quarantine-and-rebuild trigger).
 StatusOr<TreeArtifact> DeserializeTreeArtifact(const std::string& bytes);
 
-/// Serialize to / parse from a file. SaveTreeArtifact is crash-safe:
-/// bytes go through common/fs.h's WriteFileBytesAtomic (temp + fsync +
-/// rename + dir fsync), so `path` is only ever absent, the old version,
-/// or the complete new version. File errors keep the fs layer's codes:
-/// NotFound for a missing file, Unavailable for transient I/O (the
-/// retryable class). ReadFileBytes — the read half, which callers like
-/// `cache_fsck tree-verify` use to byte-compare artifacts — now lives in
-/// common/fs.h, re-exported via the include above.
+/// Serialize to a file, crash-safe: bytes go through common/fs.h's
+/// WriteFileBytesAtomic (temp + fsync + rename + dir fsync), so `path` is
+/// only ever absent, the old version, or the complete new version. File
+/// errors keep the fs layer's codes: Unavailable for transient I/O (the
+/// retryable class). The read half is ReadFileBytes (common/fs.h,
+/// re-exported via the include above; NotFound for a missing file) plus
+/// DeserializeTreeArtifact — what `cache_fsck tree-verify` and the
+/// artifact cache do.
 Status SaveTreeArtifact(const TreeArtifact& artifact,
                         const std::string& path);
-StatusOr<TreeArtifact> LoadTreeArtifact(const std::string& path);
 
 /// FNV-1a over `bytes` — the same hash the artifact trailer embeds,
 /// exposed so the artifact cache's manifest rows and the recovery tests

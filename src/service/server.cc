@@ -9,6 +9,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
@@ -96,8 +97,9 @@ Status ServiceServer::Start() {
   }
   port_ = ntohs(addr.sin_port);
 
-  num_threads_ =
-      options_.num_threads > 0 ? options_.num_threads : DefaultThreads();
+  num_threads_ = std::min(
+      options_.num_threads > 0 ? options_.num_threads : DefaultThreads(),
+      kMaxThreads);
   running_.store(true);
   workers_.reserve(num_threads_);
   for (uint32_t i = 0; i < num_threads_; ++i) {

@@ -53,7 +53,7 @@ class ServiceServer {
     /// to avoid collisions).
     uint16_t port = 0;
     /// Worker threads; 0 = DefaultThreads() (the GRAPHSCAPE_THREADS
-    /// convention, common/parallel.h).
+    /// convention, common/parallel.h). Clamped to kMaxThreads.
     uint32_t num_threads = 0;
     /// Per-connection socket read/write timeout, seconds. A stalled
     /// peer is disconnected, never allowed to pin a worker forever.

@@ -187,8 +187,7 @@ StatusOr<std::string> QueryService::HandleCorrelation(
   if (fa.field_values.size() != fb.field_values.size()) {
     return Status::InvalidArgument(StrPrintf(
         "CORRELATION fields span different element spaces (%u vs %u "
-        "elements; a vertex field cannot be compared to an edge field "
-        "without lifting)",
+        "elements; a vertex field cannot be compared to an edge field)",
         static_cast<unsigned>(fa.field_values.size()),
         static_cast<unsigned>(fb.field_values.size())));
   }

@@ -71,17 +71,6 @@ TaskEvidence TerrainCoreEvidence(const Graph& g, const SuperTree& tree,
   return evidence;
 }
 
-TaskEvidence TreemapCoreEvidence(const Graph& g, const SuperTree& tree,
-                                 StudyTask task) {
-  TaskEvidence evidence = TerrainCoreEvidence(g, tree, task);
-  // Containment still answers exactly, but nested-area comparison adds
-  // one rival element and a denser picture than height comparison.
-  evidence.distractors += 1.0;
-  evidence.visual_load = std::min(
-      1.2, static_cast<double>(tree.NumNodes()) / 4000.0 + 0.2);
-  return evidence;
-}
-
 TaskEvidence LanetViCoreEvidence(const Graph& g,
                                  const LanetViLayoutResult& layout,
                                  StudyTask task) {

@@ -46,11 +46,6 @@ namespace graphscape {
 TaskEvidence TerrainCoreEvidence(const Graph& g, const SuperTree& tree,
                                  StudyTask task);
 
-/// Treemap of the same tree: containment is explicit (strength 1) but
-/// area comparison adds distractors relative to height comparison.
-TaskEvidence TreemapCoreEvidence(const Graph& g, const SuperTree& tree,
-                                 StudyTask task);
-
 /// LaNet-vi radial core layout.
 TaskEvidence LanetViCoreEvidence(const Graph& g,
                                  const LanetViLayoutResult& layout,

@@ -27,8 +27,6 @@ const char* ToolName(StudyTool tool) {
       return "lanet-vi";
     case StudyTool::kOpenOrd:
       return "openord";
-    case StudyTool::kTreemap:
-      return "treemap";
   }
   return "terrain";
 }

@@ -2,9 +2,9 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // Simulated participants for the paper's §IV user study (DESIGN.md
-// substitution 4): Tables IV-VI compare terrain, LaNet-vi, OpenOrd (and
-// treemap) on three tasks, and since we cannot rerun the human study, a
-// seeded response model stands in. The split of responsibilities:
+// substitution 4): Tables IV-VI compare terrain, LaNet-vi and OpenOrd on
+// three tasks, and since we cannot rerun the human study, a seeded
+// response model stands in. The split of responsibilities:
 //
 //  * userstudy/evidence.h MEASURES a TaskEvidence from the actual
 //    rendered artifact — how unambiguous the correct answer is in that
@@ -38,8 +38,7 @@ enum class StudyTask : uint8_t {
 enum class StudyTool : uint8_t {
   kTerrain = 0,
   kLaNetVi = 1,
-  kOpenOrd = 2,
-  kTreemap = 3
+  kOpenOrd = 2
 };
 
 const char* TaskName(StudyTask task);

@@ -375,7 +375,6 @@ uint64_t AllocationsDuringBigClamFit(uint32_t iterations) {
   BigClamOptions options;
   options.num_communities = 4;
   options.iterations = iterations;
-  options.num_threads = 1;  // inline dispatch: no pool in the window
   const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
   const BigClamAffiliations fit = BigClamFit(g, options);
   const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);

@@ -4,14 +4,13 @@
 // Oracle-grade coverage for the community subsystem: the planted
 // overlapping-community generator's structural guarantees, BigCLAM-lite
 // recovery scored against the planted partition (best-match Jaccard),
-// and the ReFeX/RolX role layer checked on hand-computable graphs (star,
-// path, clique) plus the planted role community.
+// and the role classifier checked on hand-computable graphs (star, path,
+// clique) plus the planted role community.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <set>
 #include <string>
 #include <tuple>
@@ -24,6 +23,7 @@
 #include "graph/graph_builder.h"
 #include "scalar/scalar_tree.h"
 #include "scalar/super_tree.h"
+#include "scalar/tree_io.h"
 #include "scalar/tree_queries.h"
 
 namespace graphscape {
@@ -149,6 +149,24 @@ TEST(BigClamTest, RecoversPlantedPartition) {
       << "fit lost the planted 4-community structure";
 }
 
+TEST(BigClamTest, FactorsArePinned) {
+  // The fig 8 fit, byte for byte: FNV-1a over the raw factor doubles.
+  OverlappingCommunityOptions gen;
+  gen.num_communities = 4;
+  gen.vertices_per_community = 300;
+  gen.subclusters = 2;
+  Rng rng(2017);
+  const CommunityGraphResult dblp = OverlappingCommunities(gen, &rng);
+  BigClamOptions options;
+  options.num_communities = 4;
+  options.iterations = 80;
+  const BigClamAffiliations fitted = BigClamFit(dblp.graph, options);
+  const std::string bytes(
+      reinterpret_cast<const char*>(fitted.factors.data()),
+      fitted.factors.size() * sizeof(double));
+  EXPECT_EQ(Fnv1aChecksum(bytes), 0x157f4174adb16d04ull);
+}
+
 TEST(BigClamTest, FitIsDeterministic) {
   const CommunityGraphResult planted = SmallCommunities();
   BigClamOptions options;
@@ -207,14 +225,6 @@ TEST(BigClamTest, ScoreFieldsAreNormalizedAndNamed) {
     EXPECT_DOUBLE_EQ(field.MaxValue(), 1.0);
     EXPECT_GE(field.MinValue(), 0.0);
   }
-  const VertexScalarField max_field = MaxMembershipField(fitted);
-  EXPECT_EQ(max_field.Name(), "bigclam_max");
-  for (VertexId v = 0; v < planted.graph.NumVertices(); ++v) {
-    double expected = 0.0;
-    for (uint32_t c = 0; c < fitted.num_communities; ++c)
-      expected = std::max(expected, CommunityScoreField(fitted, c)[v]);
-    EXPECT_DOUBLE_EQ(max_field[v], expected) << v;
-  }
 }
 
 // ---------------------------------------------------------------- roles --
@@ -242,70 +252,6 @@ std::vector<VertexId> AllVertices(const Graph& g) {
   std::vector<VertexId> vertices(g.NumVertices());
   for (VertexId v = 0; v < g.NumVertices(); ++v) vertices[v] = v;
   return vertices;
-}
-
-TEST(RoleFeatureTest, FeatureCountGrowsGeometrically) {
-  const Graph g = PathGraph(5);
-  for (uint32_t depth : {0u, 1u, 2u, 3u}) {
-    RoleFeatureOptions options;
-    options.depth = depth;
-    const RoleFeatureMatrix m = RecursiveFeatures(g, options);
-    uint32_t expected = kBaseRoleFeatures;
-    for (uint32_t level = 0; level < depth; ++level) expected *= 3;
-    EXPECT_EQ(m.num_features, expected);
-    EXPECT_EQ(m.num_vertices, 5u);
-    EXPECT_EQ(m.values.size(), static_cast<size_t>(5) * expected);
-  }
-}
-
-TEST(RoleFeatureTest, BaseBlockMatchesHandComputation) {
-  // Triangle {0,1,2} with a tail 2-3.
-  GraphBuilder builder(4);
-  builder.AddEdge(0, 1);
-  builder.AddEdge(1, 2);
-  builder.AddEdge(0, 2);
-  builder.AddEdge(2, 3);
-  const Graph g = builder.Build();
-  RoleFeatureOptions options;
-  options.depth = 0;
-  const RoleFeatureMatrix m = RecursiveFeatures(g, options);
-
-  // Vertex 0: degree 2, 1 triangle, clustering 1, egonet {0,1,2} has 3
-  // internal edges, boundary = only 2-3.
-  EXPECT_DOUBLE_EQ(m.At(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(m.At(0, 1), 1.0);
-  EXPECT_DOUBLE_EQ(m.At(0, 2), 1.0);
-  EXPECT_DOUBLE_EQ(m.At(0, 3), 3.0);
-  EXPECT_DOUBLE_EQ(m.At(0, 4), 1.0);
-  // Vertex 2: degree 3, 1 triangle, clustering 1/3, egonet = whole graph
-  // (4 internal edges), no boundary.
-  EXPECT_DOUBLE_EQ(m.At(2, 0), 3.0);
-  EXPECT_DOUBLE_EQ(m.At(2, 1), 1.0);
-  EXPECT_DOUBLE_EQ(m.At(2, 2), 1.0 / 3.0);
-  EXPECT_DOUBLE_EQ(m.At(2, 3), 4.0);
-  EXPECT_DOUBLE_EQ(m.At(2, 4), 0.0);
-  // Vertex 3: degree 1, no triangles, egonet {2,3} has 1 internal edge,
-  // boundary = 2's other two edges.
-  EXPECT_DOUBLE_EQ(m.At(3, 0), 1.0);
-  EXPECT_DOUBLE_EQ(m.At(3, 1), 0.0);
-  EXPECT_DOUBLE_EQ(m.At(3, 2), 0.0);
-  EXPECT_DOUBLE_EQ(m.At(3, 3), 1.0);
-  EXPECT_DOUBLE_EQ(m.At(3, 4), 2.0);
-}
-
-TEST(RoleFeatureTest, RecursiveAggregatesMatchHandComputationOnPath) {
-  const Graph g = PathGraph(3);  // 0 - 1 - 2
-  RoleFeatureOptions options;
-  options.depth = 1;
-  const RoleFeatureMatrix m = RecursiveFeatures(g, options);
-  ASSERT_EQ(m.num_features, 15u);
-  // Columns [5, 10) are neighbor means, [10, 15) neighbor sums of the
-  // base block. Vertex 1's neighbors are the two degree-1 endpoints.
-  EXPECT_DOUBLE_EQ(m.At(1, 5), 1.0);   // mean neighbor degree
-  EXPECT_DOUBLE_EQ(m.At(1, 10), 2.0);  // sum of neighbor degrees
-  // Endpoint 0's single neighbor is the degree-2 center.
-  EXPECT_DOUBLE_EQ(m.At(0, 5), 2.0);
-  EXPECT_DOUBLE_EQ(m.At(0, 10), 2.0);
 }
 
 TEST(ClassifyRolesTest, StarCenterIsHubLeavesAreWhiskers) {
@@ -369,48 +315,6 @@ TEST(RoleAccuracyTest, ScoresOnlyPlantedNonBackground) {
   EXPECT_DOUBLE_EQ(RoleAccuracy({R::kHub, R::kDense, R::kHub}, planted), 1.0);
   EXPECT_DOUBLE_EQ(
       RoleAccuracy({R::kHub}, {R::kBackground}), 1.0);  // vacuous
-}
-
-TEST(RoleMembershipTest, DeterministicOrderedAndNormalized) {
-  RoleCommunityOptions community_options;
-  community_options.num_background = 100;
-  Rng rng(3);
-  const RoleCommunityResult planted =
-      RoleCommunityGraph(community_options, &rng);
-  RoleOptions options;
-  options.num_roles = 4;
-  const RoleMemberships a = FitRoleMemberships(planted.graph, options);
-  const RoleMemberships b = FitRoleMemberships(planted.graph, options);
-  EXPECT_EQ(a.fields, b.fields);
-  EXPECT_EQ(a.role_of, b.role_of);
-  ASSERT_EQ(a.num_roles, 4u);
-
-  const uint32_t n = planted.graph.NumVertices();
-  std::vector<double> degree_sum(4, 0.0);
-  std::vector<uint32_t> count(4, 0);
-  for (VertexId v = 0; v < n; ++v) {
-    ASSERT_LT(a.role_of[v], 4u);
-    // The assigned role is the membership-1 role; all memberships in
-    // (0, 1].
-    EXPECT_DOUBLE_EQ(a.fields[a.role_of[v]][v], 1.0) << v;
-    for (uint32_t r = 0; r < 4; ++r) {
-      EXPECT_GT(a.fields[r][v], 0.0);
-      EXPECT_LE(a.fields[r][v], 1.0);
-    }
-    degree_sum[a.role_of[v]] += planted.graph.Degree(v);
-    ++count[a.role_of[v]];
-  }
-  // Role ids are ordered by descending mean member degree.
-  double previous = std::numeric_limits<double>::max();
-  for (uint32_t r = 0; r < 4; ++r) {
-    if (count[r] == 0) continue;
-    const double mean = degree_sum[r] / count[r];
-    EXPECT_LE(mean, previous) << "role " << r;
-    previous = mean;
-  }
-  const VertexScalarField field = RoleMembershipField(a, 2);
-  EXPECT_EQ(field.Name(), "role2_membership");
-  EXPECT_EQ(field.Size(), n);
 }
 
 TEST(RoleVocabularyTest, NamesAndColorsAreDistinct) {

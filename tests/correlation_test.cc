@@ -3,9 +3,8 @@
 //
 // Field-vs-field comparison: Pearson/Spearman against hand-computed
 // values (including tie handling), the LCI/GCI neighborhood conventions,
-// the outlier field's sign contract, the average-rank transform, top-peak
-// Jaccard overlap against a per-element mask oracle, and the
-// edge-to-vertex lift that gives KC-vs-KT pairs a shared support.
+// the outlier field's sign contract, the average-rank transform, and
+// top-peak Jaccard overlap against a per-element mask oracle.
 
 #include "scalar/correlation.h"
 
@@ -18,6 +17,7 @@
 #include "gen/generators.h"
 #include "graph/graph_builder.h"
 #include "metrics/kcore.h"
+#include "scalar/edge_scalar_tree.h"
 #include "scalar/scalar_tree.h"
 #include "scalar/tree_queries.h"
 
@@ -244,23 +244,6 @@ TEST(CorrelationTest, TopPeakJaccardMatchesMemberMaskOracle) {
       }
     }
   }
-}
-
-TEST(CorrelationTest, LiftEdgeFieldTakesMaxIncidentValue) {
-  // Path 0-1-2-3 with edge values {5, 1, 3} plus an isolated vertex 4.
-  GraphBuilder builder(5);
-  builder.AddEdge(0, 1);
-  builder.AddEdge(1, 2);
-  builder.AddEdge(2, 3);
-  const Graph g = builder.Build();
-  const EdgeScalarField kt("KT", {5.0, 1.0, 3.0});
-  const VertexScalarField lifted = LiftEdgeFieldToVertices(g, kt);
-  ASSERT_EQ(lifted.Size(), 5u);
-  EXPECT_DOUBLE_EQ(lifted[0], 5.0);
-  EXPECT_DOUBLE_EQ(lifted[1], 5.0);
-  EXPECT_DOUBLE_EQ(lifted[2], 3.0);
-  EXPECT_DOUBLE_EQ(lifted[3], 3.0);
-  EXPECT_DOUBLE_EQ(lifted[4], 1.0);  // edge-free: the field minimum
 }
 
 }  // namespace

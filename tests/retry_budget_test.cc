@@ -25,8 +25,6 @@ namespace {
 
 RetryOptions FastRetry(std::vector<double>* slept) {
   RetryOptions options;
-  options.max_attempts = 4;
-  options.jitter_fraction = 0.0;
   options.sleeper = [slept](double seconds) {
     if (slept != nullptr) slept->push_back(seconds);
   };
@@ -34,29 +32,23 @@ RetryOptions FastRetry(std::vector<double>* slept) {
 }
 
 TEST(RetryTest, BackoffDoublesUpToTheCap) {
-  RetryOptions options;
-  options.initial_backoff_seconds = 0.005;
-  options.backoff_multiplier = 2.0;
-  options.max_backoff_seconds = 0.025;
-  options.jitter_fraction = 0.0;
-  Rng rng(1);
-  EXPECT_DOUBLE_EQ(RetryBackoffSeconds(options, 1, &rng), 0.005);
-  EXPECT_DOUBLE_EQ(RetryBackoffSeconds(options, 2, &rng), 0.010);
-  EXPECT_DOUBLE_EQ(RetryBackoffSeconds(options, 3, &rng), 0.020);
-  EXPECT_DOUBLE_EQ(RetryBackoffSeconds(options, 4, &rng), 0.025);  // capped
-  EXPECT_DOUBLE_EQ(RetryBackoffSeconds(options, 9, &rng), 0.025);
+  // A draw of 0.5 is the jitter-free midpoint: factor exactly 1.
+  EXPECT_DOUBLE_EQ(RetryBackoffSeconds(1, 0.5), 0.005);
+  EXPECT_DOUBLE_EQ(RetryBackoffSeconds(2, 0.5), 0.010);
+  EXPECT_DOUBLE_EQ(RetryBackoffSeconds(3, 0.5), 0.020);
+  EXPECT_DOUBLE_EQ(RetryBackoffSeconds(6, 0.5), 0.160);
+  EXPECT_DOUBLE_EQ(RetryBackoffSeconds(7, 0.5), 0.25);  // capped
+  EXPECT_DOUBLE_EQ(RetryBackoffSeconds(12, 0.5), 0.25);
 }
 
 TEST(RetryTest, JitterIsSeededDeterministicAndBounded) {
-  RetryOptions options;
-  options.initial_backoff_seconds = 0.1;
-  options.jitter_fraction = 0.25;
   Rng a(7), b(7), c(8);
-  const double first = RetryBackoffSeconds(options, 1, &a);
-  EXPECT_DOUBLE_EQ(RetryBackoffSeconds(options, 1, &b), first);
-  EXPECT_NE(RetryBackoffSeconds(options, 1, &c), first);
-  EXPECT_GE(first, 0.1 * 0.75);
-  EXPECT_LT(first, 0.1 * 1.25);
+  const double first = RetryBackoffSeconds(1, a.UniformDouble());
+  EXPECT_DOUBLE_EQ(RetryBackoffSeconds(1, b.UniformDouble()), first);
+  EXPECT_NE(RetryBackoffSeconds(1, c.UniformDouble()), first);
+  EXPECT_GE(first, 0.005 * 0.75);
+  EXPECT_LT(first, 0.005 * 1.25);
+  EXPECT_DOUBLE_EQ(RetryBackoffSeconds(1, 0.0), 0.005 * 0.75);
 }
 
 TEST(RetryTest, RetriesTransientFailuresThenSucceeds) {
@@ -91,7 +83,7 @@ TEST(RetryTest, GivesUpAfterMaxAttempts) {
     return Status::Unavailable("always down");
   });
   EXPECT_EQ(status.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(calls, 4);
+  EXPECT_EQ(calls, static_cast<int>(kRetryMaxAttempts));
 }
 
 TEST(RetryTest, StatusOrFlavorRetriesAndReturnsTheValue) {

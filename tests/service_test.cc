@@ -27,6 +27,7 @@
 
 #include "common/failpoint.h"
 #include "common/fs.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "gen/generators.h"
@@ -505,6 +506,21 @@ TEST_F(ServiceLoopbackTest, ConcurrentClientsAllGetConsistentAnswers) {
   EXPECT_EQ(stats.errors, 0u);
   // All 150 requests touched one artifact pair loaded exactly once each.
   EXPECT_LE(stats.artifacts_loaded, 2u);
+}
+
+using ServiceServerTest = ServiceTest;
+
+TEST_F(ServiceServerTest, WorkerCountIsClampedToMaxThreads) {
+  // One past the ceiling: the pool must stop at kMaxThreads, the same cap
+  // every other thread count in the library is clamped to.
+  ServiceServer::Options options;
+  options.port = 0;
+  options.num_threads = kMaxThreads + 1;
+  ServiceServer server(service_.get(), options);
+  const Status started = server.Start();
+  ASSERT_TRUE(started.ok()) << started.ToString();
+  EXPECT_EQ(server.num_threads(), kMaxThreads);
+  server.Stop();
 }
 
 }  // namespace

@@ -26,18 +26,5 @@ TEST(StrPrintfTest, OutputLongerThanStackBufferIsExact) {
   EXPECT_EQ(result.substr(1, 1000), long_arg);
 }
 
-TEST(HumanSecondsTest, PicksTheReadableUnitPerBand) {
-  EXPECT_EQ(HumanSeconds(0.0), "0s");
-  EXPECT_EQ(HumanSeconds(-1.0), "0s");
-  EXPECT_EQ(HumanSeconds(2e-9), "2ns");
-  EXPECT_EQ(HumanSeconds(4.56e-5), "45.60us");
-  EXPECT_EQ(HumanSeconds(0.0123), "12.30ms");
-  EXPECT_EQ(HumanSeconds(1.5), "1.50s");
-  EXPECT_EQ(HumanSeconds(59.994), "59.99s");
-  EXPECT_EQ(HumanSeconds(90.0), "1m30s");
-  EXPECT_EQ(HumanSeconds(3723.0), "1h02m");
-  EXPECT_EQ(HumanSeconds(7322.0), "2h02m");
-}
-
 }  // namespace
 }  // namespace graphscape

@@ -167,7 +167,9 @@ TEST(TreeIoTest, SaveAndLoadRoundtripThroughAFile) {
   const std::string path =
       ::testing::TempDir() + "/graphscape_tree_io_test.gsta";
   ASSERT_TRUE(SaveTreeArtifact(artifact, path).ok());
-  const auto loaded = LoadTreeArtifact(path);
+  const auto bytes = ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  const auto loaded = DeserializeTreeArtifact(bytes.value());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(MustSerialize(loaded.value()), MustSerialize(artifact));
   std::remove(path.c_str());
@@ -176,7 +178,7 @@ TEST(TreeIoTest, SaveAndLoadRoundtripThroughAFile) {
 TEST(TreeIoTest, LoadDistinguishesNotFoundFromCorruption) {
   const std::string missing =
       ::testing::TempDir() + "/graphscape_no_such_artifact.gsta";
-  const auto not_found = LoadTreeArtifact(missing);
+  const auto not_found = ReadFileBytes(missing);
   ASSERT_FALSE(not_found.ok());
   EXPECT_EQ(not_found.status().code(), StatusCode::kNotFound);
 

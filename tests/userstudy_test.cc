@@ -103,7 +103,7 @@ TEST(SimulateTaskTest, HandComputedAggregationCrossCheck) {
     total += task_seconds * (0.8 + 0.4 * speed);
   }
   const TaskOutcome outcome =
-      SimulateTask(StudyTool::kTreemap, evidence, options);
+      SimulateTask(StudyTool::kOpenOrd, evidence, options);
   EXPECT_DOUBLE_EQ(outcome.accuracy, correct / 3.0);
   EXPECT_DOUBLE_EQ(outcome.mean_seconds, total / 3.0);
 }
@@ -151,11 +151,6 @@ TEST(TerrainEvidenceTest, CoreTasksAreExplicit) {
       TerrainCoreEvidence(g, tree, StudyTask::kSecondDensestCore);
   EXPECT_DOUBLE_EQ(task2.answer_strength, 1.0) << "terrain stays explicit";
   EXPECT_GT(task2.distractors, task1.distractors);
-
-  const TaskEvidence treemap =
-      TreemapCoreEvidence(g, tree, StudyTask::kDensestCore);
-  EXPECT_DOUBLE_EQ(treemap.answer_strength, 1.0);
-  EXPECT_GT(treemap.distractors, task1.distractors);
 }
 
 LanetViLayoutResult SyntheticShells(uint32_t n, uint32_t core_members,
